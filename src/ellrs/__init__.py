@@ -21,6 +21,8 @@ from .elliptic import (
     theta_level,
     theta_odd,
     theta_odd_deriv,
+    theta_odd_pair,
+    theta_table,
     zeta_log,
 )
 from .errors import (

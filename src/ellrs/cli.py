@@ -7,7 +7,8 @@ Subcommands:
     ellrs evolve   --config cfg.json [--steps N --seed S --tol T --out PATH]
 
 Exit codes: 0 success / all identities passed, 1 at least one identity
-failed, 2 malformed configuration, 3 Newton did not converge.
+failed, 2 malformed configuration, 3 Newton did not converge (for evolve:
+some step failed, and the output keeps the slices before it).
 
 Complex numbers are serialized as [re, im] pairs in JSON and as split
 columns in CSV; CSV floats carry 17 significant digits so files round-trip
@@ -146,7 +147,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         c_schedule = [_as_complex(v, f"c_schedule[{i}]") for i, v in enumerate(schedule_raw)]
     else:
         c_schedule = [_as_complex(schedule_raw, "c_schedule")]
-    c0 = _as_complex(fetch("c0", c_schedule[0]), "c0")
+    c0 = _as_complex(merged["c0"], "c0") if "c0" in merged else c_schedule[0]
 
     steps = fetch("steps", 0)
     if not isinstance(steps, int) or steps < 0:
@@ -324,7 +325,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     for a in range(cfg.steps):
         try:
             traj = step(traj, _schedule_c(cfg, a + 1), solver)
-        except (NoConvergence, DegenerateSolution):
+        except EllrsError:
+            # keep the slices computed so far; the trailer names the failed step
             aborted_at = a + 1
             break
 

@@ -30,6 +30,8 @@ _PI = math.pi
 # _SERIES_EPS times the peak term; |m - m_peak| is capped at _SERIES_CAP
 _SERIES_EPS = 1e-17
 _SERIES_CAP = 500
+# exp() of a larger real part overflows double precision
+_EXP_LIMIT = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,20 @@ def lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
     return z1 - p, p, q
 
 
-def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the nearest point of Z + tau*Z."""
+def _lattice_reduce_array(z: np.ndarray, tau: complex):
+    """lattice_reduce elementwise: (z0, p, q) arrays, p and q integer-valued floats."""
+    q = np.rint(z.imag / tau.imag)
+    z1 = z - q * tau
+    p = np.rint(z1.real)
+    return z1 - p, p, q
+
+
+def lattice_distance(z, tau: complex):
+    """Distance from z to the nearest point of Z + tau*Z, elementwise for an array z."""
+    if isinstance(z, np.ndarray):
+        z0 = _lattice_reduce_array(z, tau)[0]
+        cells = np.array([dp + dq * tau for dp in (-1, 0, 1) for dq in (-1, 0, 1)])
+        return np.abs(z0[..., None] - cells).min(axis=-1)
     z0, _, _ = lattice_reduce(z, tau)
     # rounding per axis is not exact for skewed lattices; check neighbors
     best = abs(z0)
@@ -132,16 +146,12 @@ def lattice_distance(z: complex, tau: complex) -> float:
 # theta series core
 # ---------------------------------------------------------------------------
 
-def _series_pair(a: float, b: float, z: complex, tau: complex) -> tuple[complex, complex]:
-    """Centered theta series and its z-derivative, no argument reduction.
+def _series_window(im_tau: float) -> int:
+    """Half-width M of the summation window [m_peak - M, m_peak + M].
 
-    The summation window [m_peak - M, m_peak + M] is sized so that the term
-    bound exp(-pi*Im(tau)*(m+a)^2 + 2*pi*|Im(z+b)|*|m+a|) drops below
-    _SERIES_EPS times the peak term outside it.
+    Outside it the term bound exp(-pi*Im(tau)*(m+a)^2 + 2*pi*|Im(z+b)|*|m+a|)
+    has dropped below _SERIES_EPS times the peak term.
     """
-    im_tau = tau.imag
-    y = (z + b).imag
-    m_peak = -a - y / im_tau
     # exp(-pi*im_tau*d^2) < eps  <=>  d > sqrt(-ln(eps)/(pi*im_tau))
     halfwidth = math.sqrt(-math.log(_SERIES_EPS) / (_PI * im_tau)) + 1.0
     M = int(math.ceil(halfwidth)) + 1
@@ -149,6 +159,21 @@ def _series_pair(a: float, b: float, z: complex, tau: complex) -> tuple[complex,
         raise NonconvergentSeries(
             f"series window {M} exceeds cap {_SERIES_CAP} (Im tau = {im_tau})"
         )
+    return M
+
+
+def _overflow(z, tau: complex) -> NonconvergentSeries:
+    return NonconvergentSeries(
+        f"|theta| overflows double precision at z={complex(z)} (tau={tau})"
+    )
+
+
+def _series_pair(a: float, b: float, z: complex, tau: complex) -> tuple[complex, complex]:
+    """Centered theta series and its z-derivative, no argument reduction."""
+    im_tau = tau.imag
+    y = (z + b).imag
+    m_peak = -a - y / im_tau
+    M = _series_window(im_tau)
     m = np.arange(round(m_peak) - M, round(m_peak) + M + 1, dtype=float) + a
     expo = (1j * _PI * tau) * m * m + (2j * _PI) * m * (z + b)
     terms = np.exp(expo)
@@ -167,13 +192,48 @@ def _theta_pair(ch: Characteristic, z: complex, tau: complex) -> tuple[complex, 
     z0, p, q = lattice_reduce(complex(z), tau)
     value, deriv = _series_pair(a, b, z0, tau)
     expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * (z0 + b)
-    if expo.real > 700.0:
-        raise NonconvergentSeries(
-            f"|theta| overflows double precision at z={complex(z)} (tau={tau})"
-        )
+    if expo.real > _EXP_LIMIT:
+        raise _overflow(z, tau)
     pref = cmath.exp(expo)
     # d/dz of the reduction prefactor contributes the -2*pi*i*q term
     return pref * value, pref * (deriv - 2j * _PI * q * value)
+
+
+def theta_odd_pair(z, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, theta') of the odd theta, elementwise over an array z.
+
+    Each element is reduced as lattice_reduce does and summed over the same
+    window as the scalar kernels, so the values are theta_odd and
+    theta_odd_deriv up to rounding.  The output keeps the shape of z.
+    Raises NonconvergentSeries if the scalar kernels would at any element.
+    """
+    tau = torus.tau
+    z = np.asarray(z, dtype=complex)
+    a = b = 0.5
+    M = _series_window(tau.imag)
+    z0, p, q = _lattice_reduce_array(z, tau)
+    expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * (z0 + b)
+    over = expo.real > _EXP_LIMIT
+    if over.any():
+        raise _overflow(z[over][0], tau)
+    zb = (z0 + b)[..., None]
+    m_peak = -a - zb.imag / tau.imag
+    m = (np.rint(m_peak) + np.arange(-M, M + 1)) + a
+    terms = np.exp((1j * _PI * tau) * m * m + (2j * _PI) * m * zb)
+    value = np.add.reduce(terms, axis=-1)
+    deriv = np.add.reduce((2j * _PI) * m * terms, axis=-1)
+    pref = np.exp(expo)
+    return pref * value, pref * (deriv - 2j * _PI * q * value)
+
+
+def theta_table(x, y, offsets, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, theta') of the odd theta at x_k - y_s + delta, indexed [delta, k, s].
+
+    One array evaluation over every pairwise difference of x and y and every
+    offset delta of the stack: the shape of the Backlund and flow products.
+    """
+    d = np.asarray(x, dtype=complex)[:, None] - np.asarray(y, dtype=complex)[None, :]
+    return theta_odd_pair(d + np.asarray(offsets, dtype=complex)[:, None, None], torus)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .elliptic import ModelParams, lattice_distance, theta_odd, zeta_log
-from .errors import DegenerateSolution, DegenerateWeights, NoConvergence
+from .elliptic import ModelParams, lattice_distance, lattice_reduce, theta_table
+from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
 from .intertwiners import WeightVector
-from .lax import backlund_ttilde
+from .lax import _check_generic, backlund_ttilde
 
 # Newton steps longer than this (per component) are rescaled; keeps trial
 # points inside a couple of lattice cells where theta stays representable
 _MAX_NEWTON_STEP = 0.45
+# failures of one Newton attempt that end the attempt, not the solve; the
+# table arithmetic raises FloatingPointError instead of producing inf or nan
+_ATTEMPT_ERRORS = (EllrsError, np.linalg.LinAlgError, FloatingPointError)
+_RAISE_ALL = dict(divide="raise", invalid="raise", over="raise")
 
 
 @dataclass(frozen=True)
@@ -117,44 +121,34 @@ def nearest_assignment(a, b, tau: complex) -> tuple[np.ndarray, float]:
 # Newton solve for the next positions
 # ---------------------------------------------------------------------------
 
+def _flow_table(mu: np.ndarray, lam: np.ndarray, c: complex, params: ModelParams):
+    """(prod, theta, theta') of the step equation at mu: the (theta, theta')
+    table at lam_k - mu_s + delta, delta = 0, eta/n, indexed [delta, k, s], and
+    prod_k = e^c * prod_s theta(lam_k - mu_s + eta/n) / theta(lam_k - mu_s)."""
+    th, dth = theta_table(lam, mu, (0, params.eta / params.n), params.torus)
+    with np.errstate(**_RAISE_ALL):
+        prod = cmath.exp(c) * np.prod(th[1] / th[0], axis=1)
+    return prod, th, dth
+
+
 def _flow_residual(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, c: complex,
                    params: ModelParams) -> np.ndarray:
-    eta, n, torus = params.eta, params.n, params.torus
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        val = cmath.exp(c)
-        for s in range(n):
-            d = lam[k] - mu[s]
-            val *= theta_odd(d + eta / n, torus) / theta_odd(d, torus)
-        out[k] = val - t[k]
-    return out
+    return _flow_table(mu, lam, c, params)[0] - t
 
 
-def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, c: complex,
-                   params: ModelParams) -> np.ndarray:
-    eta, n, torus = params.eta, params.n, params.torus
-    jac = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        prod = cmath.exp(c)
-        for s in range(n):
-            d = lam[k] - mu[s]
-            prod *= theta_odd(d + eta / n, torus) / theta_odd(d, torus)
-        for s in range(n):
-            d = lam[k] - mu[s]
-            # d/dmu_s of log of the s-th factor
-            jac[k, s] = prod * (zeta_log(d, torus) - zeta_log(d + eta / n, torus))
-    return jac
+def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, c: complex,
+                   params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and Jacobian of the step equation at mu, from one theta table.
 
-
-def _fd_jacobian(mu, lam, t, c, params, h=1e-7):
-    n = params.n
-    jac = np.empty((n, n), dtype=complex)
-    for s in range(n):
-        dm = np.zeros(n, dtype=complex)
-        dm[s] = h
-        jac[:, s] = (_flow_residual(mu + dm, lam, t, c, params)
-                     - _flow_residual(mu - dm, lam, t, c, params)) / (2 * h)
-    return jac
+    d r_k / d mu_s = prod_k * (zeta(lam_k - mu_s) - zeta(lam_k - mu_s + eta/n))
+    with zeta = theta'/theta, which has its poles on the lattice.
+    """
+    prod, th, dth = _flow_table(mu, lam, c, params)
+    d = lam[:, None] - mu[None, :]
+    _check_generic(np.stack((d, d + params.eta / params.n)), params, "_flow_jacobian")
+    with np.errstate(**_RAISE_ALL):
+        zeta = dth / th
+    return prod - t, prod[:, None] * (zeta[0] - zeta[1])
 
 
 def solve_next(
@@ -163,7 +157,6 @@ def solve_next(
     c: complex,
     cfg: SolverConfig = SolverConfig(),
     guess: WeightVector | None = None,
-    fd_jacobian: bool = False,
 ) -> WeightVector:
     """Solve the step equation for mu = lambda(a+1).
 
@@ -187,7 +180,7 @@ def solve_next(
         if attempt > 0:
             rng = np.random.default_rng([attempt, 0xB1])
             mu = mu + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mu = _newton(mu, lam_arr, t, c, params, cfg, fd_jacobian)
+        mu = _newton(mu, lam_arr, t, c, params, cfg)
         if mu is None:
             failure = "Newton iteration stalled"
             continue
@@ -206,22 +199,15 @@ def solve_next(
     raise DegenerateSolution(f"solve_next converged onto degenerate weights: {failure}")
 
 
-def _newton(mu, lam_arr, t, c, params, cfg, fd_jacobian):
+def _newton(mu, lam_arr, t, c, params, cfg):
     scale = np.abs(t)
     for _ in range(cfg.max_iter):
         try:
-            res = _flow_residual(mu, lam_arr, t, c, params)
-        except Exception:
-            return None
-        if np.max(np.abs(res) / scale) < cfg.tol:
-            return mu
-        try:
-            if fd_jacobian:
-                jac = _fd_jacobian(mu, lam_arr, t, c, params)
-            else:
-                jac = _flow_jacobian(mu, lam_arr, c, params)
+            res, jac = _flow_jacobian(mu, lam_arr, t, c, params)
+            if np.max(np.abs(res) / scale) < cfg.tol:
+                return mu
             delta = np.linalg.solve(jac, -res)
-        except Exception:
+        except _ATTEMPT_ERRORS:
             return None
         big = np.max(np.abs(delta))
         if big > _MAX_NEWTON_STEP:
@@ -232,7 +218,7 @@ def _newton(mu, lam_arr, t, c, params, cfg, fd_jacobian):
         for _ in range(24):
             try:
                 trial = np.max(np.abs(_flow_residual(mu + factor * delta, lam_arr, t, c, params)))
-            except Exception:
+            except _ATTEMPT_ERRORS:
                 trial = np.inf
             if trial < base:
                 break
@@ -240,11 +226,9 @@ def _newton(mu, lam_arr, t, c, params, cfg, fd_jacobian):
         mu = mu + factor * delta
     try:
         res = _flow_residual(mu, lam_arr, t, c, params)
-        if np.max(np.abs(res) / scale) < cfg.tol:
-            return mu
-    except Exception:
-        pass
-    return None
+    except _ATTEMPT_ERRORS:
+        return None
+    return mu if np.max(np.abs(res) / scale) < cfg.tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +240,10 @@ def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig(),
     """Append one time slice: solve for lambda(a+1), update t by the companion
     formula, install c(a+1) = c_next.
 
-    The Newton guess is the linear extrapolation 2*lambda(a) - lambda(a-1)
-    when history exists, else the free-flow shift lambda - eta/n.
+    The Newton guess extrapolates lambda(a) by the last displacement
+    lambda(a) - lambda(a-1), reduced modulo the lattice, when history exists,
+    else it is the free-flow shift lambda - eta/n.  The reduction keeps a
+    root that landed one period away from repeating that jump every step.
     """
     if not traj.steps:
         raise ValueError("trajectory is empty")
@@ -265,10 +251,10 @@ def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig(),
     params = traj.params
     guess = None
     if len(traj.steps) >= 2:
-        # slices stay aligned by construction, so plain extrapolation works
         prev = traj.steps[-2]
+        shift = [lattice_reduce(d, params.tau)[0] for d in cur.lam.lam - prev.lam.lam]
         try:
-            guess = WeightVector(2 * cur.lam.lam - prev.lam.lam, params)
+            guess = WeightVector(cur.lam.lam + np.array(shift), params)
         except DegenerateWeights:
             guess = None
     nxt = solve_next(cur.lam, cur.t, cur.c, cfg, guess=guess)
@@ -293,22 +279,19 @@ def discrete_rs_residual(
     maximized over k, each side scaled by |LHS| + |RHS|.
     """
     params = lam_cur.params
-    n, eta, torus = params.n, params.eta, params.torus
-    worst = 0.0
-    for k in range(n):
-        lhs = cmath.exp(c_cur - c_prev)
-        for m in range(n):
-            if m != k:
-                d = lam_cur.lam[m] - lam_cur.lam[k]
-                lhs *= theta_odd(d + eta / n, torus) / theta_odd(d - eta / n, torus)
-        rhs = 1.0 + 0j
-        for s in range(n):
-            dn = lam_cur.lam[k] - lam_next.lam[s]
-            rhs *= theta_odd(dn, torus) / theta_odd(dn + eta / n, torus)
-            dp = lam_cur.lam[k] - lam_prev.lam[s]
-            rhs *= theta_odd(dp - eta / n, torus) / theta_odd(dp, torus)
-        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
-    return worst
+    n, h = params.n, params.eta / params.n
+    cur = lam_cur.lam
+    # one table [delta, k, s] over delta = -eta/n, 0, eta/n, with the columns
+    # s running over lambda(a), then lambda(a+1), then lambda(a-1)
+    th = theta_table(cur, np.concatenate((cur, lam_next.lam, lam_prev.lam)), (-h, 0, h),
+                     params.torus)[0]
+    own, nxt, prv = th[:, :, :n], th[:, :, n:2 * n], th[:, :, 2 * n:]
+    # own[delta, m, k] = theta(lam_m(a) - lam_k(a) + delta); m = k is not a factor
+    ratio = own[2] / own[0]
+    np.fill_diagonal(ratio, 1)
+    lhs = cmath.exp(c_cur - c_prev) * np.prod(ratio, axis=0)
+    rhs = np.prod(nxt[1] / nxt[2], axis=1) * np.prod(prv[0] / prv[1], axis=1)
+    return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs))))
 
 
 def trajectory_residuals(traj: Trajectory) -> list[float]:

@@ -32,6 +32,7 @@ from .elliptic import (
     ModelParams,
     lattice_distance,
     theta_odd,
+    theta_table,
 )
 from .errors import PathThroughZero, PoleAtLatticePoint, ShiftMismatch
 from .intertwiners import WeightVector, phi_inverse, phi_matrix
@@ -108,71 +109,45 @@ def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: compl
 # ---------------------------------------------------------------------------
 
 def _check_generic(values, params: ModelParams, what: str) -> None:
-    tol = params.torus.reduction_tol
-    for val in values:
-        if lattice_distance(val, params.tau) < tol:
-            raise PoleAtLatticePoint(f"{what}: argument {complex(val)} is lattice-proximate")
+    values = np.asarray(values, dtype=complex)
+    near = lattice_distance(values, params.tau) < params.torus.reduction_tol
+    if near.any():
+        raise PoleAtLatticePoint(f"{what}: argument {complex(values[near][0])} is lattice-proximate")
+
+
+def _coupling_table(lam: WeightVector, mu: WeightVector, what: str) -> np.ndarray:
+    """theta(lambda_k - mu_s + delta) for delta = 0, eta/n, indexed [delta, k, s]."""
+    params = lam.params
+    _check_generic(lam.lam[:, None] - mu.lam[None, :], params, what)
+    return theta_table(lam.lam, mu.lam, (0, params.eta / params.n), params.torus)[0]
 
 
 def backlund_t(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
     """t_k = e^c * prod_s theta(lambda_k - mu_s + eta/n) / theta(lambda_k - mu_s)."""
-    params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
-    _check_generic(
-        (lam.lam[k] - mu.lam[s] for k in range(n) for s in range(n)), params, "backlund_t"
-    )
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        val = cmath.exp(c)
-        for s in range(n):
-            d = lam.lam[k] - mu.lam[s]
-            val *= theta_odd(d + eta / n, torus) / theta_odd(d, torus)
-        out[k] = val
-    return out
+    th = _coupling_table(lam, mu, "backlund_t")
+    return cmath.exp(c) * np.prod(th[1] / th[0], axis=1)
 
 
 def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
     """t~_k = e^c * prod_{m != k} theta(mu_mk - eta/n)/theta(mu_mk + eta/n)
     * prod_s theta(lambda_s - mu_k + eta/n)/theta(lambda_s - mu_k)."""
     params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
-    _check_generic(
-        (lam.lam[s] - mu.lam[k] for k in range(n) for s in range(n)), params, "backlund_ttilde"
-    )
-    _check_generic(
-        (mu.lam[m] - mu.lam[k] + eta / n for k in range(n) for m in range(n) if m != k),
-        params,
-        "backlund_ttilde",
-    )
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        val = cmath.exp(c)
-        for m in range(n):
-            if m != k:
-                d = mu.lam[m] - mu.lam[k]
-                val *= theta_odd(d - eta / n, torus) / theta_odd(d + eta / n, torus)
-        for s in range(n):
-            d = lam.lam[s] - mu.lam[k]
-            val *= theta_odd(d + eta / n, torus) / theta_odd(d, torus)
-        out[k] = val
-    return out
+    n, h = params.n, params.eta / params.n
+    th = _coupling_table(lam, mu, "backlund_ttilde")
+    off = ~np.eye(n, dtype=bool)
+    _check_generic((mu.lam[:, None] - mu.lam[None, :] + h)[off], params, "backlund_ttilde")
+    mm = theta_table(mu.lam, mu.lam, (-h, h), params.torus)[0]
+    ratio = mm[0] / mm[1]
+    np.fill_diagonal(ratio, 1)  # the m = k factor is not part of the product
+    return cmath.exp(c) * np.prod(ratio, axis=0) * np.prod(th[1] / th[0], axis=0)
 
 
 def backlund_C(lam: WeightVector, mu: WeightVector) -> np.ndarray:
     """C_k = prod_s theta(mu_sk - eta/n) / theta(lambda_s - mu_k)."""
     params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
-    _check_generic(
-        (lam.lam[s] - mu.lam[k] for k in range(n) for s in range(n)), params, "backlund_C"
-    )
-    out = np.empty(n, dtype=complex)
-    for k in range(n):
-        val = 1.0 + 0j
-        for s in range(n):
-            val *= theta_odd(mu.lam[s] - mu.lam[k] - eta / n, torus)
-            val /= theta_odd(lam.lam[s] - mu.lam[k], torus)
-        out[k] = val
-    return out
+    th = _coupling_table(lam, mu, "backlund_C")
+    mm = theta_table(mu.lam, mu.lam, (-params.eta / params.n,), params.torus)[0][0]
+    return np.prod(mm, axis=0) / np.prod(th[0], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +163,30 @@ def lax_classical(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     return pb.T @ np.diag(cfg.t) @ p0.T
 
 
-def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
-    """Gauge-frame L_{k',k}(z) as a matrix [k', k]; rows carry t_{k'}."""
-    lam = cfg.lam
+def _gauge_matrix(z: complex, v: complex, lam: WeightVector, rows: np.ndarray,
+                  weights: np.ndarray, what: str) -> np.ndarray:
+    """[k', k] = Phi_{z-v-eta}(lam_k - rows_k' + eta/n)
+    * prod_l theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
+    with the l = k factor cancelled against the Phi denominator."""
     params = lam.params
     n, eta, torus = params.n, params.eta, params.torus
     big_z = z - v - eta
     if lattice_distance(big_z, params.tau) < torus.reduction_tol:
-        raise PoleAtLatticePoint(f"lax_gauge: z-v-eta={complex(big_z)} is lattice-proximate")
-    th_z = theta_odd(big_z, torus)
-    out = np.empty((n, n), dtype=complex)
-    for kp in range(n):
-        num = np.prod(
-            [theta_odd(lam.lam[l] - lam.lam[kp] + eta / n, torus) for l in range(n)]
-        )
-        for k in range(n):
-            val = theta_odd(big_z + lam.lam[k] - lam.lam[kp] + eta / n, torus) / th_z
-            val *= num / theta_odd(lam.lam[k] - lam.lam[kp] + eta / n, torus)
-            for l in range(n):
-                if l != k:
-                    val /= theta_odd(lam.lam[l] - lam.lam[k], torus)
-            out[kp, k] = val * cfg.t[kp]
-    return out
+        raise PoleAtLatticePoint(f"{what}: z-v-eta={complex(big_z)} is lattice-proximate")
+    h = eta / n
+    # [l, k'] = theta(lam_l - rows_k' + eta/n) and [k, k'] = the same shifted by z-v-eta
+    num = theta_table(lam.lam, rows, (h,), torus)[0][0]
+    shifted = theta_table(big_z + lam.lam, rows, (h,), torus)[0][0]
+    # [l, k] = theta(lam_l - lam_k); the diagonal is the excluded l = k factor
+    den = theta_table(lam.lam, lam.lam, (0,), torus)[0][0]
+    np.fill_diagonal(den, 1)
+    out = shifted.T / theta_odd(big_z, torus) * (np.prod(num, axis=0)[:, None] / num.T)
+    return out / np.prod(den, axis=0)[None, :] * weights[:, None]
+
+
+def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
+    """Gauge-frame L_{k',k}(z) as a matrix [k', k]; rows carry t_{k'}."""
+    return _gauge_matrix(z, v, cfg.lam, cfg.lam.lam, cfg.t, "lax_gauge")
 
 
 def m_matrix(
@@ -222,29 +199,10 @@ def m_matrix(
     """Gauge-frame M_{k',k}(z) = Phi_{z-v-eta}(lam_k - mu_k' + eta/n)
     * prod_l theta(lam_l - mu_k' + eta/n) / prod_{l != k} theta(lam_lk) * C_k'.
     """
-    params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
     shift = u + lam.total - mu.total
     if abs(v - shift) > 1e-10 * (1.0 + abs(v)):
         raise ShiftMismatch(f"v={complex(v)} but u + sum(lambda-mu) = {shift}")
-    big_z = z - v - eta
-    if lattice_distance(big_z, params.tau) < torus.reduction_tol:
-        raise PoleAtLatticePoint(f"m_matrix: z-v-eta={complex(big_z)} is lattice-proximate")
-    cvec = backlund_C(lam, mu)
-    th_z = theta_odd(big_z, torus)
-    out = np.empty((n, n), dtype=complex)
-    for kp in range(n):
-        num = np.prod(
-            [theta_odd(lam.lam[l] - mu.lam[kp] + eta / n, torus) for l in range(n)]
-        )
-        for k in range(n):
-            val = theta_odd(big_z + lam.lam[k] - mu.lam[kp] + eta / n, torus) / th_z
-            val *= num / theta_odd(lam.lam[k] - mu.lam[kp] + eta / n, torus)
-            for l in range(n):
-                if l != k:
-                    val /= theta_odd(lam.lam[l] - lam.lam[k], torus)
-            out[kp, k] = val * cvec[kp]
-    return out
+    return _gauge_matrix(z, v, lam, mu.lam, backlund_C(lam, mu), "m_matrix")
 
 
 # ---------------------------------------------------------------------------

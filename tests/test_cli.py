@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from ellrs import WeightVector, discrete_rs_residual
+import ellrs.cli as cli
+from ellrs import NonconvergentSeries, WeightVector, discrete_rs_residual
 from ellrs.cli import CSV_HEADER, load_trajectory_csv, main
 
 FIXTURE = {
@@ -49,6 +50,12 @@ class TestConfigValidation:
         code = main(["evolve", "--config", cfg])
         assert code == 2
         assert "steps" in capsys.readouterr().err
+
+    def test_c0_is_optional(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({"n": 2, "tau": [0, 1], "eta": [0.23, 0], "seed": 1}))
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "v.json")])
+        assert code == 0
 
     def test_zero_t0_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, t0=[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], mu0=None)
@@ -182,6 +189,37 @@ class TestEvolve:
         lines = out.read_text().strip().splitlines()
         assert lines[-1] == "# aborted at step a=1"
         assert len(lines) == 1 + 3 + 1  # header + initial slice + trailer
+
+    def test_numeric_error_keeps_good_steps(self, tmp_path, monkeypatch):
+        real_step = cli.step
+
+        def failing_step(traj, *args):
+            if len(traj.steps) == 3:
+                raise NonconvergentSeries("|theta| overflows double precision")
+            return real_step(traj, *args)
+
+        monkeypatch.setattr(cli, "step", failing_step)
+        out = tmp_path / "traj.csv"
+        code = main(["evolve", "--config", write_config(tmp_path), "--out", str(out)])
+        assert code == 3
+        lines = out.read_text().strip().splitlines()
+        assert lines[-1] == "# aborted at step a=3"
+        assert len(lines) == 1 + 3 * 3 + 1  # header + slices a = 0, 1, 2 + trailer
+
+    def test_fourth_weight_start(self, tmp_path):
+        # this start once ran into a theta overflow (exit 2, no CSV)
+        lam0 = np.array([0.11 + 0.03j, 0.43 - 0.06j, -0.37 + 0.09j, -0.12 - 0.21j])
+        mu0 = lam0 - 0.05 - 0.02j + 0.01 * np.arange(4)
+        cfg = write_config(
+            tmp_path, n=4, steps=100,
+            lambda0=[[x.real, x.imag] for x in lam0], mu0=[[x.real, x.imag] for x in mu0],
+        )
+        out = tmp_path / "traj.csv"
+        code = main(["evolve", "--config", cfg, "--out", str(out)])
+        assert code == 0
+        slices = load_trajectory_csv(str(out))
+        assert len(slices) == 101
+        assert max(rs for a, _, _, _, rs in slices if 1 <= a <= 99) < 1e-8
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "traj.json"

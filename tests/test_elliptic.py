@@ -14,6 +14,7 @@ from ellrs import (
     PoleAtLatticePoint,
     TorusParams,
     dedekind_eta,
+    lattice_distance,
     phi_kernel,
     theta_band,
     theta_char,
@@ -21,6 +22,8 @@ from ellrs import (
     theta_level,
     theta_odd,
     theta_odd_deriv,
+    theta_odd_pair,
+    theta_table,
     zeta_log,
 )
 from conftest import PI, rand_complex, theta_brute, theta_brute_deriv
@@ -115,6 +118,78 @@ class TestThetaOdd:
         lhs = theta_odd(0.25 + 1, torus_i)
         rhs = -theta_brute(0.5, 0.5, 0.25, 1j)
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+class TestThetaOddPair:
+    """The array kernel against the scalar kernels it must reproduce."""
+
+    @pytest.mark.parametrize("tau", [0.5j, 1j, 2j, -0.3 + 0.5j, 2.4 + 1j])
+    def test_matches_scalar_elementwise(self, tau):
+        torus = TorusParams(tau)
+        # generic points (off the lattice) out to |Im z| = 10
+        x = np.linspace(-1.5, 1.5, 7) + 0.013
+        y = np.linspace(-10, 10, 21) + 0.007
+        z = x[:, None] + 1j * y[None, :]
+        value, deriv = theta_odd_pair(z, torus)
+        for idx in np.ndindex(z.shape):
+            want = theta_odd(z[idx], torus)
+            want_d = theta_odd_deriv(z[idx], torus)
+            assert abs(value[idx] - want) <= 1e-15 * abs(want)
+            assert abs(deriv[idx] - want_d) <= 1e-15 * abs(want_d)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3, 4)])
+    def test_keeps_shape(self, torus_i, shape):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        value, deriv = theta_odd_pair(z, torus_i)
+        assert value.shape == shape and deriv.shape == shape
+
+    def test_nonconvergent_exactly_where_scalar(self, torus_i):
+        # |theta| overflows from Im z of about 14 at tau = i
+        zs = 0.1 + 1j * np.arange(12.0, 16.0, 0.125)
+        scalar_raises = []
+        for z in zs:
+            try:
+                theta_odd(z, torus_i)
+                scalar_raises.append(False)
+            except NonconvergentSeries:
+                scalar_raises.append(True)
+        assert any(scalar_raises) and not all(scalar_raises)
+        for z, raises in zip(zs, scalar_raises):
+            if raises:
+                with pytest.raises(NonconvergentSeries):
+                    theta_odd_pair(np.array([z]), torus_i)
+            else:
+                theta_odd_pair(np.array([z]), torus_i)
+        with pytest.raises(NonconvergentSeries):
+            theta_odd_pair(zs, torus_i)
+        # the series cap depends on tau alone
+        with pytest.raises(NonconvergentSeries):
+            theta_odd_pair(np.array([0.1]), TorusParams(1e-5j))
+
+    def test_table_layout(self, torus_i):
+        x = np.array([0.11 + 0.03j, 0.43 - 0.06j, -0.37 + 0.09j])
+        y = np.array([0.06 + 0.01j, 0.39 - 0.08j])
+        offsets = (-0.1, 0, 0.1 + 0.2j)
+        value, deriv = theta_table(x, y, offsets, torus_i)
+        assert value.shape == (3, 3, 2)
+        for d, delta in enumerate(offsets):
+            for k in range(3):
+                for s in range(2):
+                    z = x[k] - y[s] + delta
+                    want, want_d = theta_odd(z, torus_i), theta_odd_deriv(z, torus_i)
+                    assert abs(value[d, k, s] - want) <= 1e-15 * abs(want)
+                    assert abs(deriv[d, k, s] - want_d) <= 1e-15 * abs(want_d)
+
+    def test_lattice_distance_elementwise(self):
+        rng = np.random.default_rng(8)
+        for tau in (1j, 0.45 + 0.6j):
+            z = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
+            z[0, 0] = 2 - tau
+            got = lattice_distance(z, tau)
+            assert got.shape == z.shape and got[0, 0] < 1e-15
+            for idx in np.ndindex(z.shape):
+                assert abs(got[idx] - lattice_distance(complex(z[idx]), tau)) < 1e-14
 
 
 class TestThetaFamilies:

@@ -5,10 +5,12 @@ import cmath
 import numpy as np
 import pytest
 
+import ellrs.flow as flow
 from ellrs import (
     DegenerateSolution,
     ModelParams,
     NoConvergence,
+    PoleAtLatticePoint,
     SolverConfig,
     Trajectory,
     WeightVector,
@@ -106,6 +108,63 @@ class TestSolveNext:
         assert np.abs(mu.lam - fixture_mu.lam).max() < 1e-8
 
 
+class TestStepEquation:
+    def test_jacobian_matches_central_differences(self, torus_i):
+        # oracle: central differences of the residual, column by column
+        rng = np.random.default_rng(22)
+        h = 1e-6
+        for n in (1, 2, 3, 4):
+            params = ModelParams(n, 0.23, torus_i)
+            for _ in range(4):
+                lam, mu = random_pair(rng, params)
+                c = rand_complex(rng, 0.3)
+                t = backlund_t(lam, mu, c)
+                trial = mu.lam + 0.02 * np.array([rand_complex(rng) for _ in range(n)])
+                res, jac = flow._flow_jacobian(trial, lam.lam, t, c, params)
+                assert np.abs(res - flow._flow_residual(trial, lam.lam, t, c, params)).max() == 0
+                fd = np.empty((n, n), dtype=complex)
+                for s in range(n):
+                    dm = np.zeros(n, dtype=complex)
+                    dm[s] = h
+                    fd[:, s] = (flow._flow_residual(trial + dm, lam.lam, t, c, params)
+                                - flow._flow_residual(trial - dm, lam.lam, t, c, params)) / (2 * h)
+                assert np.abs(jac - fd).max() < 1e-7 * np.abs(jac).max()
+
+    def test_jacobian_pole_guard(self, fixture_lam, fixture_mu):
+        params = fixture_lam.params
+        t = backlund_t(fixture_lam, fixture_mu, 0.1)
+        mu = fixture_mu.lam.copy()
+        mu[1] = fixture_lam.lam[0] + params.eta / params.n + 1j + 1e-12
+        with pytest.raises(PoleAtLatticePoint):
+            flow._flow_jacobian(mu, fixture_lam.lam, t, 0.1, params)
+
+    def test_zero_theta_stalls_the_attempt(self, monkeypatch, fixture_lam, fixture_mu):
+        params = fixture_lam.params
+        t = backlund_t(fixture_lam, fixture_mu, 0.1)
+        table = flow.theta_table
+
+        def zero_corner(*args):
+            th, dth = table(*args)
+            th[0, 0, 0] = 0
+            return th, dth
+
+        monkeypatch.setattr(flow, "theta_table", zero_corner)
+        with pytest.raises(FloatingPointError):
+            flow._flow_residual(fixture_mu.lam, fixture_lam.lam, t, 0.1, params)
+        with pytest.raises(NoConvergence):
+            solve_next(fixture_lam, t, 0.1, SolverConfig(max_iter=5, multistart=2))
+
+    def test_programming_errors_propagate(self, monkeypatch, fixture_lam, fixture_mu):
+        t = backlund_t(fixture_lam, fixture_mu, 0.1)
+
+        def broken(*args):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(flow, "theta_table", broken)
+        with pytest.raises(TypeError):
+            solve_next(fixture_lam, t, 0.1)
+
+
 class TestTrajectory:
     def test_ten_steps_and_residuals(self, fixture_lam, fixture_mu):
         t0 = backlund_t(fixture_lam, fixture_mu, 0.1)
@@ -116,6 +175,17 @@ class TestTrajectory:
         residuals = trajectory_residuals(traj)
         assert len(residuals) == 9
         assert max(residuals) < 1e-8
+
+    def test_lattice_jump_is_not_repeated(self, params2):
+        # README start restricted to n = 2: at a = 58 Newton lands lambda_0 on
+        # the root one period below; plain 2*lambda(a) - lambda(a-1)
+        # extrapolation repeated that jump every step and aborted at a = 71
+        lam = WeightVector(np.array([0.11 + 0.03j, 0.43 - 0.06j]), params2)
+        mu = WeightVector(np.array([0.06 + 0.01j, 0.39 - 0.08j]), params2)
+        traj = Trajectory.initial(lam, backlund_t(lam, mu, 0.1), 0.1)
+        for _ in range(100):
+            traj = step(traj, 0.1)
+        assert max(trajectory_residuals(traj)) < 1e-8
 
     def test_first_step_recovers_seed_mu(self, fixture_lam, fixture_mu):
         t0 = backlund_t(fixture_lam, fixture_mu, 0.1)
