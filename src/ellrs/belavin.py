@@ -30,18 +30,14 @@ class RTensor:
     params: ModelParams
 
 
-def _band_zero_distance(k: int, w: complex, params: ModelParams) -> float:
-    """Distance of w from the zero set of theta^(k): w = k*tau mod (1, n*tau)."""
-    return lattice_distance(w - (k % params.n) * params.tau, params.n * params.tau)
-
-
 def _check_band_generic(w: complex, params: ModelParams, what: str) -> None:
-    tol = params.torus.reduction_tol
-    for k in range(params.n):
-        if _band_zero_distance(k, w, params) < tol:
-            raise PoleAtLatticePoint(
-                f"r_matrix: {what}={complex(w)} hits the zero set of theta^({k})"
-            )
+    # theta^(k) vanishes at w = k*tau mod (1, n*tau)
+    n, tau = params.n, params.tau
+    near = lattice_distance(w - np.arange(n) * tau, n * tau) < params.torus.reduction_tol
+    if near.any():
+        raise PoleAtLatticePoint(
+            f"r_matrix: {what}={complex(w)} hits the zero set of theta^({np.argmax(near)})"
+        )
 
 
 def r_matrix(z: complex, params: ModelParams) -> RTensor:
@@ -61,10 +57,11 @@ def r_matrix(z: complex, params: ModelParams) -> RTensor:
     n = params.n
     eta = params.eta
     _check_band_generic(eta, params, "eta")
-    band_z = [theta_band(k, z, params) for k in range(n)]
-    band_eta = [theta_band(k, eta, params) for k in range(n)]
-    band_ze = [theta_band(k, z + eta, params) for k in range(n)]
-    denom0 = np.prod([theta_band(k, 0.0, params) for k in range(1, n)])
+    bands = np.arange(n)
+    band_z = theta_band(bands, z, params)
+    band_eta = theta_band(bands, eta, params)
+    band_ze = theta_band(bands, z + eta, params)
+    denom0 = np.prod(theta_band(bands[1:], 0.0, params))
     entries = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):

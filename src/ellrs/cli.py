@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ModelParams, TorusParams
+from .elliptic import ModelParams, TorusParams, theta_odd, theta_table
 from .errors import (
     DegenerateSolution,
     DegenerateWeights,
@@ -43,7 +43,6 @@ from .lax import (
     lax_equation_residual,
     make_backlund_step,
 )
-from .elliptic import theta_odd
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -261,14 +260,14 @@ def cmd_backlund(cfg: RunConfig) -> int:
     for _ in range(5):
         z = draw_generic(rng, params.tau, avoid=(bstep.v + params.eta,))
         lax_res = max(lax_res, lax_equation_residual(z, bstep))
+    # ks scale per k': |theta(z)| prod_s |theta(lam_k' - mu_s)|
+    z = params.eta + bstep.v - bstep.u
+    scale = abs(theta_odd(z, params.torus)) * np.prod(
+        np.abs(theta_table(lam.lam, mu.lam, (0,), params.torus)[0][0]), axis=1)
     ks_res = 0.0
     for kp in range(params.n):
         raw = ks_identity_residual(lam.lam, mu.lam, params.eta / params.n, kp, params)
-        z = params.eta + bstep.v - bstep.u
-        scale = abs(theta_odd(z, params.torus))
-        for s in range(params.n):
-            scale *= abs(theta_odd(lam.lam[kp] - mu.lam[s], params.torus))
-        ks_res = max(ks_res, raw / (scale + 1e-300))
+        ks_res = max(ks_res, raw / (scale[kp] + 1e-300))
 
     payload = {
         "mu": [_pair(x) for x in mu.lam],

@@ -71,9 +71,6 @@ class Characteristic:
         object.__setattr__(self, "b", Fraction(self.b))
 
 
-ODD_CHAR = Characteristic(Fraction(1, 2), Fraction(1, 2))
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Rank n, coupling eta and the torus; fixes the theta_j / theta^(j) families.
@@ -135,11 +132,7 @@ def lattice_distance(z, tau: complex):
         return np.abs(z0[..., None] - cells).min(axis=-1)
     z0, _, _ = lattice_reduce(z, tau)
     # rounding per axis is not exact for skewed lattices; check neighbors
-    best = abs(z0)
-    for dp in (-1, 0, 1):
-        for dq in (-1, 0, 1):
-            best = min(best, abs(z0 - dp - dq * tau))
-    return best
+    return min(abs(z0 - dp - dq * tau) for dp in (-1, 0, 1) for dq in (-1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,68 +155,47 @@ def _series_window(im_tau: float) -> int:
     return M
 
 
-def _overflow(z, tau: complex) -> NonconvergentSeries:
-    return NonconvergentSeries(
-        f"|theta| overflows double precision at z={complex(z)} (tau={tau})"
-    )
+def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(theta[a,b], d/dz theta[a,b]) elementwise: the one theta series.
 
-
-def _series_pair(a: float, b: float, z: complex, tau: complex) -> tuple[complex, complex]:
-    """Centered theta series and its z-derivative, no argument reduction."""
-    im_tau = tau.imag
-    y = (z + b).imag
-    m_peak = -a - y / im_tau
-    M = _series_window(im_tau)
-    m = np.arange(round(m_peak) - M, round(m_peak) + M + 1, dtype=float) + a
-    expo = (1j * _PI * tau) * m * m + (2j * _PI) * m * (z + b)
-    terms = np.exp(expo)
-    value = complex(np.add.reduce(terms))
-    deriv = complex(np.add.reduce((2j * _PI) * m * terms))
-    return value, deriv
-
-
-def _theta_pair(ch: Characteristic, z: complex, tau: complex) -> tuple[complex, complex]:
-    """(theta, theta') at z after lattice reduction of the argument."""
+    a broadcasts against z.  Each argument is reduced as lattice_reduce does,
+    summed over the centered window of _series_window and mapped back through
+    the quasi-periodicity factor.  Raises NonconvergentSeries when the window
+    exceeds its cap or that factor overflows double precision at any element.
+    """
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
-    a = float(ch.a)
-    b = float(ch.b)
-    z0, p, q = lattice_reduce(complex(z), tau)
-    value, deriv = _series_pair(a, b, z0, tau)
-    expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * (z0 + b)
-    if expo.real > _EXP_LIMIT:
-        raise _overflow(z, tau)
-    pref = cmath.exp(expo)
+    M = _series_window(tau.imag)
+    z = np.asarray(z, dtype=complex)
+    z0, p, q = _lattice_reduce_array(z, tau)
+    zb = z0 + b
+    expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * zb
+    over = expo.real > _EXP_LIMIT
+    if over.any():
+        bad = complex(np.broadcast_to(z, over.shape)[over][0])
+        raise NonconvergentSeries(f"|theta| overflows double precision at z={bad} (tau={tau})")
+    m_peak = np.rint(-a - zb.imag / tau.imag)
+    m = m_peak[..., None] + np.arange(-M, M + 1) + np.asarray(a)[..., None]
+    terms = np.exp((1j * _PI * tau) * m * m + (2j * _PI) * m * zb[..., None])
+    value = np.add.reduce(terms, axis=-1)
+    deriv = np.add.reduce((2j * _PI) * m * terms, axis=-1)
+    pref = np.exp(expo)
     # d/dz of the reduction prefactor contributes the -2*pi*i*q term
     return pref * value, pref * (deriv - 2j * _PI * q * value)
+
+
+def _scalar(values: np.ndarray):
+    """A complex for a 0-d result, else the array itself."""
+    return complex(values) if values.ndim == 0 else values
 
 
 def theta_odd_pair(z, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
     """(theta, theta') of the odd theta, elementwise over an array z.
 
-    Each element is reduced as lattice_reduce does and summed over the same
-    window as the scalar kernels, so the values are theta_odd and
-    theta_odd_deriv up to rounding.  The output keeps the shape of z.
-    Raises NonconvergentSeries if the scalar kernels would at any element.
+    The output keeps the shape of z (0-d arrays for a scalar z).
     """
-    tau = torus.tau
-    z = np.asarray(z, dtype=complex)
-    a = b = 0.5
-    M = _series_window(tau.imag)
-    z0, p, q = _lattice_reduce_array(z, tau)
-    expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * (z0 + b)
-    over = expo.real > _EXP_LIMIT
-    if over.any():
-        raise _overflow(z[over][0], tau)
-    zb = (z0 + b)[..., None]
-    m_peak = -a - zb.imag / tau.imag
-    m = (np.rint(m_peak) + np.arange(-M, M + 1)) + a
-    terms = np.exp((1j * _PI * tau) * m * m + (2j * _PI) * m * zb)
-    value = np.add.reduce(terms, axis=-1)
-    deriv = np.add.reduce((2j * _PI) * m * terms, axis=-1)
-    pref = np.exp(expo)
-    return pref * value, pref * (deriv - 2j * _PI * q * value)
+    return _theta_pair(0.5, 0.5, z, torus.tau)
 
 
 def theta_table(x, y, offsets, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
@@ -240,44 +212,51 @@ def theta_table(x, y, offsets, torus: TorusParams) -> tuple[np.ndarray, np.ndarr
 # public kernels
 # ---------------------------------------------------------------------------
 
-def theta_char(ch: Characteristic, z: complex, tau: complex) -> complex:
-    """theta[a,b](z, tau) = sum_m exp(pi*i*(m+a)^2*tau + 2*pi*i*(m+a)*(z+b))."""
-    return _theta_pair(ch, z, tau)[0]
+def theta_char(ch: Characteristic, z, tau: complex):
+    """theta[a,b](z, tau) = sum_m exp(pi*i*(m+a)^2*tau + 2*pi*i*(m+a)*(z+b)),
+    elementwise over an array z."""
+    return _scalar(_theta_pair(float(ch.a), float(ch.b), z, tau)[0])
 
 
-def theta_char_deriv(ch: Characteristic, z: complex, tau: complex) -> complex:
-    """d/dz theta[a,b](z, tau), summed termwise."""
-    return _theta_pair(ch, z, tau)[1]
+def theta_char_deriv(ch: Characteristic, z, tau: complex):
+    """d/dz theta[a,b](z, tau), summed termwise, elementwise over an array z."""
+    return _scalar(_theta_pair(float(ch.a), float(ch.b), z, tau)[1])
 
 
-def theta_odd(z: complex, torus: TorusParams) -> complex:
+def theta_odd(z, torus: TorusParams):
     """The distinguished odd theta: theta[1/2,1/2](z, tau).
 
     Vanishes exactly on the lattice Z + tau*Z and satisfies
     theta(z+1) = -theta(z), theta(z+tau) = -exp(-pi*i*tau - 2*pi*i*z)*theta(z).
     """
-    return theta_char(ODD_CHAR, z, torus.tau)
+    return _scalar(theta_odd_pair(z, torus)[0])
 
 
-def theta_odd_deriv(z: complex, torus: TorusParams) -> complex:
+def theta_odd_deriv(z, torus: TorusParams):
     """d/dz of the odd theta."""
-    return theta_char_deriv(ODD_CHAR, z, torus.tau)
+    return _scalar(theta_odd_pair(z, torus)[1])
 
 
-def _band_char(j: int, n: int) -> Characteristic:
-    return Characteristic(Fraction(1, 2) - Fraction(j % n, n), Fraction(0))
-
-
-def theta_band(j: int, z: complex, params: ModelParams) -> complex:
-    """theta^(j)(z) = theta[1/2 - j/n, 0](z + 1/2, n*tau); index j taken mod n."""
+def _band(j, w, params: ModelParams):
+    """theta[1/2 - j/n, 0](w, n*tau) elementwise, with j taken mod n."""
     n = params.n
-    return theta_char(_band_char(j, n), z + 0.5, n * params.tau)
+    return _scalar(_theta_pair((n - 2 * np.mod(j, n)) / (2 * n), 0.0, w, n * params.tau)[0])
 
 
-def theta_level(j: int, z: complex, params: ModelParams) -> complex:
-    """theta_j(z) = theta[1/2 - j/n, 0](n*(z + 1/2), n*tau); index j taken mod n."""
-    n = params.n
-    return theta_char(_band_char(j, n), n * (z + 0.5), n * params.tau)
+def theta_band(j, z, params: ModelParams):
+    """theta^(j)(z) = theta[1/2 - j/n, 0](z + 1/2, n*tau); index j taken mod n.
+
+    j and z broadcast together; scalar j and z give a complex.
+    """
+    return _band(j, np.asarray(z) + 0.5, params)
+
+
+def theta_level(j, z, params: ModelParams):
+    """theta_j(z) = theta[1/2 - j/n, 0](n*(z + 1/2), n*tau); index j taken mod n.
+
+    j and z broadcast together; scalar j and z give a complex.
+    """
+    return _band(j, params.n * (np.asarray(z) + 0.5), params)
 
 
 def dedekind_eta(tau: complex) -> complex:
@@ -307,8 +286,8 @@ def zeta_log(z: complex, torus: TorusParams) -> complex:
     """
     if lattice_distance(z, torus.tau) < torus.reduction_tol:
         raise PoleAtLatticePoint(f"zeta_log: z={complex(z)} is lattice-proximate")
-    value, deriv = _theta_pair(ODD_CHAR, z, torus.tau)
-    return deriv / value
+    value, deriv = theta_odd_pair(z, torus)
+    return complex(deriv / value)
 
 
 def phi_kernel(z: complex, x: complex, torus: TorusParams) -> complex:
@@ -319,4 +298,5 @@ def phi_kernel(z: complex, x: complex, torus: TorusParams) -> complex:
         raise PoleAtLatticePoint(f"phi_kernel: z={complex(z)} is lattice-proximate")
     if lattice_distance(x, tau) < tol:
         raise PoleAtLatticePoint(f"phi_kernel: x={complex(x)} is lattice-proximate")
-    return theta_odd(z + x, torus) / (theta_odd(z, torus) * theta_odd(x, torus))
+    th = theta_odd_pair(np.array([z + x, z, x], dtype=complex), torus)[0]
+    return complex(th[0] / (th[1] * th[2]))

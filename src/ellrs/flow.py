@@ -16,7 +16,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .elliptic import ModelParams, lattice_distance, lattice_reduce, theta_table
 from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
@@ -66,7 +65,6 @@ class Trajectory:
 
     steps: tuple[StepState, ...]
     params: ModelParams
-    u_sequence: tuple[complex, ...] = ()
 
     @classmethod
     def initial(cls, lam: WeightVector, t, c: complex) -> "Trajectory":
@@ -82,39 +80,22 @@ class Trajectory:
 # assignment modulo the lattice
 # ---------------------------------------------------------------------------
 
-def lattice_mod_distance_matrix(a, b, tau: complex) -> np.ndarray:
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    out = np.empty((a.size, b.size))
-    for i in range(a.size):
-        for j in range(b.size):
-            out[i, j] = lattice_distance(a[i] - b[j], tau)
-    return out
-
-
 def nearest_assignment(a, b, tau: complex) -> tuple[np.ndarray, float]:
     """Match components of a to components of b modulo the lattice.
 
-    Greedy matching on pairwise lattice distances, with the Hungarian
-    assignment as a fallback whenever it beats the greedy total (n <= 8
-    stays cheap).  Returns (perm, max_distance) with a[i] ~ b[perm[i]].
+    The Hungarian assignment on pairwise lattice distances, which minimises
+    their total.  Returns (perm, max_distance) with a[i] ~ b[perm[i]].
     """
-    dist = lattice_mod_distance_matrix(a, b, tau)
-    n = dist.shape[0]
-    perm = np.full(n, -1, dtype=int)
-    used: set[int] = set()
-    order = np.argsort(dist.min(axis=1))
-    for i in order:
-        best_j = min((j for j in range(n) if j not in used), key=lambda j: dist[i, j])
-        perm[i] = best_j
-        used.add(best_j)
-    greedy_total = dist[np.arange(n), perm].sum()
-    if n <= 8:
-        rows, cols = linear_sum_assignment(dist)
-        if dist[rows, cols].sum() < greedy_total:
-            perm = np.empty(n, dtype=int)
-            perm[rows] = cols
-    return perm, float(dist[np.arange(n), perm].max())
+    # deferred: importing scipy.optimize costs most of the package import time
+    from scipy.optimize import linear_sum_assignment
+
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    dist = lattice_distance(a[:, None] - b[None, :], tau)
+    rows, cols = linear_sum_assignment(dist)
+    perm = np.empty(a.size, dtype=int)
+    perm[rows] = cols
+    return perm, float(dist[rows, cols].max())
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +112,14 @@ def _flow_table(mu: np.ndarray, lam: np.ndarray, c: complex, params: ModelParams
     return prod, th, dth
 
 
-def _flow_residual(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, c: complex,
-                   params: ModelParams) -> np.ndarray:
-    return _flow_table(mu, lam, c, params)[0] - t
-
-
-def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, c: complex,
-                   params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian of the step equation at mu, from one theta table.
+def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, params: ModelParams,
+                   table) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and Jacobian of the step equation at mu, from its _flow_table.
 
     d r_k / d mu_s = prod_k * (zeta(lam_k - mu_s) - zeta(lam_k - mu_s + eta/n))
     with zeta = theta'/theta, which has its poles on the lattice.
     """
-    prod, th, dth = _flow_table(mu, lam, c, params)
+    prod, th, dth = table
     d = lam[:, None] - mu[None, :]
     _check_generic(np.stack((d, d + params.eta / params.n)), params, "_flow_jacobian")
     with np.errstate(**_RAISE_ALL):
@@ -201,9 +177,12 @@ def solve_next(
 
 def _newton(mu, lam_arr, t, c, params, cfg):
     scale = np.abs(t)
+    table = None  # _flow_table at mu, when the line search has computed it
     for _ in range(cfg.max_iter):
         try:
-            res, jac = _flow_jacobian(mu, lam_arr, t, c, params)
+            if table is None:
+                table = _flow_table(mu, lam_arr, c, params)
+            res, jac = _flow_jacobian(mu, lam_arr, t, params, table)
             if np.max(np.abs(res) / scale) < cfg.tol:
                 return mu
             delta = np.linalg.solve(jac, -res)
@@ -217,26 +196,29 @@ def _newton(mu, lam_arr, t, c, params, cfg):
         base = np.max(np.abs(res))
         for _ in range(24):
             try:
-                trial = np.max(np.abs(_flow_residual(mu + factor * delta, lam_arr, t, c, params)))
+                table = _flow_table(mu + factor * delta, lam_arr, c, params)
+                trial = np.max(np.abs(table[0] - t))
             except _ATTEMPT_ERRORS:
-                trial = np.inf
+                table, trial = None, np.inf
             if trial < base:
                 break
             factor /= 2
+        else:
+            table = None  # the step taken is shorter than the last one tried
         mu = mu + factor * delta
     try:
-        res = _flow_residual(mu, lam_arr, t, c, params)
+        if table is None:
+            table = _flow_table(mu, lam_arr, c, params)
     except _ATTEMPT_ERRORS:
         return None
-    return mu if np.max(np.abs(res) / scale) < cfg.tol else None
+    return mu if np.max(np.abs(table[0] - t) / scale) < cfg.tol else None
 
 
 # ---------------------------------------------------------------------------
 # trajectory stepping and residuals
 # ---------------------------------------------------------------------------
 
-def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig(),
-         u_next: complex = 0j) -> Trajectory:
+def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig()) -> Trajectory:
     """Append one time slice: solve for lambda(a+1), update t by the companion
     formula, install c(a+1) = c_next.
 
@@ -260,7 +242,7 @@ def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig(),
     nxt = solve_next(cur.lam, cur.t, cur.c, cfg, guess=guess)
     t_next = backlund_ttilde(cur.lam, nxt, cur.c)
     state = StepState(cur.a + 1, nxt, t_next, complex(c_next))
-    return Trajectory(traj.steps + (state,), params, traj.u_sequence + (complex(u_next),))
+    return Trajectory(traj.steps + (state,), params)
 
 
 def discrete_rs_residual(

@@ -15,9 +15,7 @@ theta'(0) = -2*pi*etaD(tau)^3, not 1, and the factor is what closes them.
 from __future__ import annotations
 
 import json
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +23,12 @@ import numpy as np
 from .belavin import ybe_residual
 from .elliptic import (
     ModelParams,
-    ODD_CHAR,
     TorusParams,
     dedekind_eta,
     lattice_distance,
-    theta_char_deriv,
     theta_level,
-    theta_odd,
-    zeta_log,
+    theta_odd_deriv,
+    theta_odd_pair,
 )
 from .errors import DegenerateWeights, NearSingular, PoleAtLatticePoint
 from .intertwiners import (
@@ -113,7 +109,15 @@ def draw_generic(rng: np.random.Generator, tau: complex, avoid=(), min_dist=_MIN
     raise RuntimeError("rejection sampling exhausted; avoid set too dense")
 
 
-def _draw_weights(rng, params, min_dist=_MIN_ZERO_DIST, spread_eta=False) -> WeightVector:
+def _draw_distinct(rng, tau: complex, count: int, avoid=()) -> list[complex]:
+    """count draws that clear the avoid points and each other."""
+    out: list[complex] = []
+    for _ in range(count):
+        out.append(draw_generic(rng, tau, avoid=list(avoid) + out))
+    return out
+
+
+def _draw_weights(rng, params, spread_eta=False) -> WeightVector:
     """Random generic weights; spread_eta also clears the +-eta/n offsets that
     show up in gauge-frame denominators."""
     tau = params.tau
@@ -123,12 +127,38 @@ def _draw_weights(rng, params, min_dist=_MIN_ZERO_DIST, spread_eta=False) -> Wei
         avoid = list(vals)
         if spread_eta:
             avoid += [v + offs for v in vals] + [v - offs for v in vals]
-        vals.append(draw_generic(rng, tau, avoid=avoid, min_dist=min_dist))
+        vals.append(draw_generic(rng, tau, avoid=avoid))
     return WeightVector(np.array(vals), params)
 
 
-def _theta_prime0(torus: TorusParams) -> complex:
-    return theta_char_deriv(ODD_CHAR, 0.0, torus.tau)
+def _diffs(a, b) -> np.ndarray:
+    """[..., i, j] = a_i - b_j over the last axis of stacked draws."""
+    return a[..., :, None] - b[..., None, :]
+
+
+def _drop_diagonal(values: np.ndarray) -> np.ndarray:
+    """Set the [..., i, i] entries to 1: the excluded j = i factor of a product."""
+    idx = np.arange(values.shape[-1])
+    values[..., idx, idx] = 1
+    return values
+
+
+def _rel_diff(lhs, rhs):
+    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
+
+
+def _report(name, residuals, describe, seed, tol) -> IdentityReport:
+    """Report of a sweep from its residuals, indexed [draw, ...] in sweep order.
+
+    The worst entry is the first maximum, as a running strict maximum over the
+    sweep finds it; describe(index) gives its worst_params.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.size == 0:
+        return IdentityReport.from_sweep(name, len(residuals), -1.0, {}, seed, tol)
+    where = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return IdentityReport.from_sweep(name, len(residuals), residuals[where],
+                                     describe(*map(int, where)), seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -140,37 +170,29 @@ def check_functional_relation(draws: int, seed: int, torus: TorusParams,
     """theta'(0) * Phi_z(x) Phi_z(y) = Phi_z(x+y) (zeta(z)+zeta(x)+zeta(y)-zeta(z+x+y))."""
     rng = _rng_for("functional_relation", seed)
     tau = torus.tau
-    tp0 = _theta_prime0(torus)
-    worst, worst_params = -1.0, {}
+    tp0 = theta_odd_deriv(0.0, torus)
+    points = []
     for _ in range(draws):
         z = draw_generic(rng, tau)
         x = draw_generic(rng, tau, avoid=(-z,))
         # keep x+y and z+x+y away from the zero sets on both sides
         y = draw_generic(rng, tau, avoid=(-z, -x, -x - z))
-        lhs = tp0 * _phi(z, x, torus) * _phi(z, y, torus)
-        rhs = _phi(z, x + y, torus) * (
-            zeta_log(z, torus) + zeta_log(x, torus) + zeta_log(y, torus)
-            - zeta_log(z + x + y, torus)
-        )
-        res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-        if res > worst:
-            worst, worst_params = res, {"z": _cx(z), "x": _cx(x), "y": _cx(y)}
-    return IdentityReport.from_sweep("functional_relation", draws, worst, worst_params, seed, tol)
-
-
-def _phi(z, x, torus):
-    return theta_odd(z + x, torus) / (theta_odd(z, torus) * theta_odd(x, torus))
+        points.append((z, x, y))
+    z, x, y = np.array(points, dtype=complex).reshape(draws, 3).T
+    th, dth = theta_odd_pair(np.stack((z, x, y, x + y, z + x, z + y, z + x + y)), torus)
+    zeta = dth / th
+    # Phi_z(w) = theta(z+w) / (theta(z) theta(w))
+    lhs = tp0 * th[4] / (th[0] * th[1]) * th[5] / (th[0] * th[2])
+    rhs = th[6] / (th[0] * th[3]) * (zeta[0] + zeta[1] + zeta[2] - zeta[6])
+    return _report("functional_relation", _rel_diff(lhs, rhs),
+                   lambda d: {"z": _cx(z[d]), "x": _cx(x[d]), "y": _cx(y[d])}, seed, tol)
 
 
 def _constrained_points(rng, tau, count):
     """x_i, y_i with sum(x - y) = 0, all mutual differences kept generic."""
     for _ in range(_MAX_RETRIES):
-        ys = []
-        for _ in range(count):
-            ys.append(draw_generic(rng, tau, avoid=ys))
-        xs = []
-        for _ in range(count - 1):
-            xs.append(draw_generic(rng, tau, avoid=ys + xs))
+        ys = _draw_distinct(rng, tau, count)
+        xs = _draw_distinct(rng, tau, count - 1, avoid=ys)
         closing = sum(ys) - sum(xs)
         ok = lattice_distance(closing, tau) >= _MIN_ZERO_DIST and all(
             lattice_distance(closing - p, tau) >= _MIN_ZERO_DIST for p in ys + xs
@@ -178,6 +200,16 @@ def _constrained_points(rng, tau, count):
         if ok:
             return xs + [closing], ys
     raise RuntimeError("could not draw a constrained point set")
+
+
+def _lagrange_weights(xs, ys, torus: TorusParams) -> np.ndarray:
+    """w_i = prod_j theta(y_i - x_j) / prod_{j != i} theta(y_i - y_j), over stacked draws."""
+    th = theta_odd_pair(np.stack((_diffs(ys, xs), _diffs(ys, ys))), torus)[0]
+    return np.prod(th[0], axis=-1) / np.prod(_drop_diagonal(th[1]), axis=-1)
+
+
+def _describe_xy(xs, ys):
+    return lambda d: {"x": [_cx(x) for x in xs[d]], "y": [_cx(y) for y in ys[d]]}
 
 
 def check_lagrange(N: int, draws: int, seed: int, torus: TorusParams,
@@ -194,27 +226,22 @@ def check_lagrange(N: int, draws: int, seed: int, torus: TorusParams,
     if N == 1:
         # the constraint forces x_1 = y_1; both sides collapse to theta'(0)
         return IdentityReport.from_sweep(name, 0, 0.0, {"note": "degenerate N=1"}, seed, tol)
-    tp0 = _theta_prime0(torus)
-    worst, worst_params = -1.0, {}
+    tp0 = theta_odd_deriv(0.0, torus)
+    xs, ys, zs = [], [], []
     for _ in range(draws):
-        xs, ys = _constrained_points(rng, tau, N)
-        z = draw_generic(rng, tau, avoid=xs + ys)
-        lhs = tp0 + 0j
-        for x, y in zip(xs, ys):
-            lhs *= theta_odd(z - x, torus) / theta_odd(z - y, torus)
-        rhs = 0j
-        for i in range(N):
-            w = 1.0 + 0j
-            for j in range(N):
-                w *= theta_odd(ys[i] - xs[j], torus)
-                if j != i:
-                    w /= theta_odd(ys[i] - ys[j], torus)
-            rhs += (zeta_log(z - ys[i], torus) - zeta_log(xs[0] - ys[i], torus)) * w
-        res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-        if res > worst:
-            worst = res
-            worst_params = {"x": [_cx(x) for x in xs], "y": [_cx(y) for y in ys], "z": _cx(z)}
-    return IdentityReport.from_sweep(name, draws, worst, worst_params, seed, tol)
+        x, y = _constrained_points(rng, tau, N)
+        zs.append(draw_generic(rng, tau, avoid=x + y))
+        xs.append(x)
+        ys.append(y)
+    xs, ys = np.array(xs, dtype=complex).reshape(draws, N), np.array(ys, dtype=complex).reshape(draws, N)
+    z = np.array(zs, dtype=complex)[:, None]
+    th, dth = theta_odd_pair(np.stack((z - xs, z - ys, xs[:, :1] - ys)), torus)
+    zeta = dth / th
+    lhs = tp0 * np.prod(th[0] / th[1], axis=-1)
+    rhs = np.sum((zeta[1] - zeta[2]) * _lagrange_weights(xs, ys, torus), axis=-1)
+    describe = _describe_xy(xs, ys)
+    return _report(name, _rel_diff(lhs, rhs),
+                   lambda d: dict(describe(d), z=_cx(zs[d])), seed, tol)
 
 
 def check_null_sum(N: int, draws: int, seed: int, torus: TorusParams,
@@ -224,29 +251,28 @@ def check_null_sum(N: int, draws: int, seed: int, torus: TorusParams,
     name = f"null_sum_N{N}"
     rng = _rng_for(name, seed)
     tau = torus.tau
-    worst, worst_params = -1.0, {}
-    for _ in range(draws):
-        if N == 1:
-            # single term theta(y_1 - x_1) = theta(0) = 0 exactly
-            y = draw_generic(rng, tau)
-            total, scale = theta_odd(0.0, torus), 1.0
-            xs, ys = [y], [y]
-        else:
-            xs, ys = _constrained_points(rng, tau, N)
-            total, scale = 0j, 0.0
-            for i in range(N):
-                w = 1.0 + 0j
-                for j in range(N):
-                    w *= theta_odd(ys[i] - xs[j], torus)
-                    if j != i:
-                        w /= theta_odd(ys[i] - ys[j], torus)
-                total += w
-                scale = max(scale, abs(w))
-        res = abs(total) / (scale + 1e-300)
-        if res > worst:
-            worst = res
-            worst_params = {"x": [_cx(x) for x in xs], "y": [_cx(y) for y in ys]}
-    return IdentityReport.from_sweep(name, draws, worst, worst_params, seed, tol)
+    if N == 1:
+        # single term theta(y_1 - x_1) = theta(0) = 0 exactly
+        ys = np.array([[draw_generic(rng, tau)] for _ in range(draws)], dtype=complex)
+        residuals = np.full(draws, abs(theta_odd_pair(0.0, torus)[0]) / (1.0 + 1e-300))
+        return _report(name, residuals, _describe_xy(ys, ys), seed, tol)
+    pts = np.array([_constrained_points(rng, tau, N) for _ in range(draws)], dtype=complex)
+    xs, ys = pts.reshape(draws, 2, N).transpose(1, 0, 2)
+    w = _lagrange_weights(xs, ys, torus)
+    residuals = np.abs(np.sum(w, axis=-1)) / (np.abs(w).max(axis=-1, initial=0.0) + 1e-300)
+    return _report(name, residuals, _describe_xy(xs, ys), seed, tol)
+
+
+def _lemma_weights(xs, ys, xi, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
+    """(w_y, w_x) of check_lemma over stacked draws, indexed [draw, j]."""
+    xi3 = xi[:, None, None]
+    # [d, j, m] = y_j - y_m and x_j - x_m;  [d, s, j] = x_s - y_j
+    yy, xx, xy = _diffs(ys, ys), _diffs(xs, xs), _diffs(xs, ys)
+    th = theta_odd_pair(np.stack((yy - xi3, yy, xx + xi3, xx, xy - xi3, xy)), torus)[0]
+    own_y = np.prod(_drop_diagonal(th[0]) / _drop_diagonal(th[1]), axis=2)
+    own_x = np.prod(_drop_diagonal(th[2]) / _drop_diagonal(th[3]), axis=2)
+    cross = th[4] / th[5]
+    return own_y * np.prod(cross, axis=1), own_x * np.prod(cross, axis=2)
 
 
 def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
@@ -269,14 +295,10 @@ def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
     name = f"lemma_N{N}"
     rng = _rng_for(name, seed)
     tau = torus.tau
-    worst, worst_params = -1.0, {}
+    rows = []
     for _ in range(draws):
-        ys = []
-        for _ in range(N):
-            ys.append(draw_generic(rng, tau, avoid=ys))
-        xs = []
-        for _ in range(N):
-            xs.append(draw_generic(rng, tau, avoid=ys + xs))
+        ys = _draw_distinct(rng, tau, N)
+        xs = _draw_distinct(rng, tau, N, avoid=ys)
         xi = draw_generic(rng, tau, avoid=[a - b for a in ys + xs for b in ys + xs])
         z = draw_generic(
             rng, tau,
@@ -284,59 +306,29 @@ def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
         )
         i0 = int(rng.integers(N))
         k0 = int(rng.integers(N))
-
-        def wy(j):
-            val = 1.0 + 0j
-            for m in range(N):
-                if m != j:
-                    d = ys[j] - ys[m]
-                    val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
-            for s in range(N):
-                d = xs[s] - ys[j]
-                val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
-            return val
-
-        def wx(j):
-            val = 1.0 + 0j
-            for m in range(N):
-                if m != j:
-                    d = xs[j] - xs[m]
-                    val *= theta_odd(d + xi, torus) / theta_odd(d, torus)
-            for s in range(N):
-                d = xs[j] - ys[s]
-                val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
-            return val
-
-        l2 = sum(wy(j) for j in range(N))
-        r2 = sum(wx(j) for j in range(N))
-        l1 = sum(
-            (zeta_log(ys[i0] - ys[j] + xi, torus) + zeta_log(ys[j] - xs[k0] + xi, torus)) * wy(j)
-            for j in range(N)
-        )
-        r1 = sum(
-            (zeta_log(ys[i0] - xs[j] + xi, torus) + zeta_log(xs[j] - xs[k0] + xi, torus)) * wx(j)
-            for j in range(N)
-        )
-        lf = sum(
-            _phi(z, ys[i0] - ys[j] + xi, torus) * _phi(z, ys[j] - xs[k0] + xi, torus) * wy(j)
-            for j in range(N)
-        )
-        rf = sum(
-            _phi(z, ys[i0] - xs[j] + xi, torus) * _phi(z, xs[j] - xs[k0] + xi, torus) * wx(j)
-            for j in range(N)
-        )
-        res = max(
-            abs(l2 - r2) / (abs(l2) + abs(r2) + 1e-300),
-            abs(l1 - r1) / (abs(l1) + abs(r1) + 1e-300),
-            abs(lf - rf) / (abs(lf) + abs(rf) + 1e-300),
-        )
-        if res > worst:
-            worst = res
-            worst_params = {
-                "x": [_cx(x) for x in xs], "y": [_cx(y) for y in ys],
-                "xi": _cx(xi), "z": _cx(z), "i": i0, "k": k0,
-            }
-    return IdentityReport.from_sweep(name, draws, worst, worst_params, seed, tol)
+        rows.append((ys, xs, xi, z, i0, k0))
+    ys = np.array([r[0] for r in rows], dtype=complex).reshape(draws, N)
+    xs = np.array([r[1] for r in rows], dtype=complex).reshape(draws, N)
+    xi, z = (np.array([r[c] for r in rows], dtype=complex) for c in (2, 3))
+    i0, k0 = (np.array([r[c] for r in rows], dtype=int) for c in (4, 5))
+    wy, wx = _lemma_weights(xs, ys, xi, torus)
+    # Phi_z and zeta arguments, [d, j]: left y_i - y_j + xi, y_j - x_k + xi;
+    # right y_i - x_j + xi, x_j - x_k + xi
+    rows_d = np.arange(draws)
+    yi, xk, xi2 = ys[rows_d, i0][:, None], xs[rows_d, k0][:, None], xi[:, None]
+    args = np.stack((yi - ys + xi2, ys - xk + xi2, yi - xs + xi2, xs - xk + xi2))
+    th, dth = theta_odd_pair(np.stack((args, z[:, None] + args)), torus)
+    zeta = dth[0] / th[0]
+    phi = th[1] / (theta_odd_pair(z, torus)[0][:, None] * th[0])
+    residuals = np.max([
+        _rel_diff(wy.sum(axis=1), wx.sum(axis=1)),
+        _rel_diff(((zeta[0] + zeta[1]) * wy).sum(axis=1), ((zeta[2] + zeta[3]) * wx).sum(axis=1)),
+        _rel_diff((phi[0] * phi[1] * wy).sum(axis=1), (phi[2] * phi[3] * wx).sum(axis=1)),
+    ], axis=0)
+    return _report(name, residuals, lambda d: {
+        "x": [_cx(x) for x in xs[d]], "y": [_cx(y) for y in ys[d]],
+        "xi": _cx(xi[d]), "z": _cx(z[d]), "i": int(i0[d]), "k": int(k0[d]),
+    }, seed, tol)
 
 
 def check_commute(draws: int, seed: int, params: ModelParams,
@@ -351,11 +343,9 @@ def check_commute(draws: int, seed: int, params: ModelParams,
     Both sums go through genuine matrix inversions (at lam and at -lam).
     """
     rng = _rng_for("commute", seed)
-    torus = params.torus
     tau, eta, n = params.tau, params.eta, params.n
-    worst, worst_params = -1.0, {}
-    done = 0
-    while done < draws:
+    lams, zvs, lhs, sums = [], [], [], []
+    while len(lams) < draws:
         try:
             lam = _draw_weights(rng, params, spread_eta=True)
             zv = draw_generic(rng, tau, avoid=(eta,))  # stands for z - v
@@ -366,26 +356,24 @@ def check_commute(draws: int, seed: int, params: ModelParams,
             qb = phi_inverse(zv - eta, neg)
         except (NearSingular, PoleAtLatticePoint, DegenerateWeights):
             continue
-        for k in range(n):
-            for kp in range(n):
-                lhs = complex(np.add.reduce(pf[:, kp] * pb[k, :]))
-                pref = 1.0 + 0j
-                for m in range(n):
-                    if m != kp:
-                        pref *= theta_odd(lam.lam[kp] - lam.lam[m], torus)
-                    if m != k:
-                        pref /= theta_odd(lam.lam[m] - lam.lam[k], torus)
-                for l in range(n):
-                    pref *= theta_odd(lam.lam[l] - lam.lam[kp] + eta / n, torus)
-                    pref /= theta_odd(lam.lam[k] - lam.lam[l] + eta / n, torus)
-                rhs = pref * complex(np.add.reduce(qb[kp, :] * qf[:, k]))
-                res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-                if res > worst:
-                    worst = res
-                    worst_params = {"lambda": [_cx(x) for x in lam.lam],
-                                    "z_minus_v": _cx(zv), "k": k, "kprime": kp}
-        done += 1
-    return IdentityReport.from_sweep("commute", draws, worst, worst_params, seed, tol)
+        lams.append(lam)
+        zvs.append(zv)
+        lhs.append(pb @ pf)  # [k, k']
+        sums.append((qb @ qf).T)  # [k, k'] = sum_i qb[k', i] qf[i, k]
+    lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
+    # [delta, d, a, b] = theta(lam_a - lam_b + delta), delta = 0, eta/n
+    d = _diffs(lam, lam)
+    th = theta_odd_pair(np.stack((d, d + eta / n)), params.torus)[0]
+    own = _drop_diagonal(th[0])
+    # pref[d, k, k'] = prod_{m != k'} own[k', m] / prod_{m != k} own[m, k]
+    #                  * prod_l th1[l, k'] / prod_l th1[k, l]
+    pref = (np.prod(own, axis=2)[:, None, :] / np.prod(own, axis=1)[:, :, None]
+            * np.prod(th[1], axis=1)[:, None, :] / np.prod(th[1], axis=2)[:, :, None])
+    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n),
+                          pref * np.array(sums).reshape(draws, n, n))
+    return _report("commute", residuals, lambda d, k, kp: {
+        "lambda": [_cx(x) for x in lam[d]], "z_minus_v": _cx(zvs[d]), "k": k, "kprime": kp,
+    }, seed, tol)
 
 
 def check_det_formula(n: int, draws: int, seed: int, params: ModelParams,
@@ -397,25 +385,16 @@ def check_det_formula(n: int, draws: int, seed: int, params: ModelParams,
         params = ModelParams(n, params.eta, params.torus)
     tau = params.tau
     ie = 1j * dedekind_eta(tau)
-    worst, worst_params = -1.0, {}
-    for _ in range(draws):
-        zs = []
-        for _ in range(n):
-            zs.append(draw_generic(rng, tau, avoid=zs))
-        mat = np.array(
-            [[theta_level(i, zs[j], params) for j in range(n)] for i in range(1, n + 1)]
-        )
-        det = complex(np.linalg.det(mat))
-        # the closed form of det_phi, pulled back to det(theta) by (i*etaD)^n
-        rhs = det_prefactor(n) * theta_odd(sum(zs), params.torus) / ie * ie ** n
-        for i in range(n):
-            for j in range(i + 1, n):
-                rhs *= theta_odd(zs[j] - zs[i], params.torus) / ie
-        res = abs(det - rhs) / (abs(det) + abs(rhs) + 1e-300)
-        if res > worst:
-            worst = res
-            worst_params = {"z": [_cx(z) for z in zs]}
-    return IdentityReport.from_sweep(name, draws, worst, worst_params, seed, tol)
+    zs = np.array([_draw_distinct(rng, tau, n) for _ in range(draws)], dtype=complex)
+    zs = zs.reshape(draws, n)
+    mat = theta_level(np.arange(1, n + 1)[:, None], zs[:, None, :], params)
+    det = np.linalg.det(mat.reshape(draws, n, n))
+    # the closed form of det_phi, pulled back to det(theta) by (i*etaD)^n:
+    # theta(sum z) and theta(z_j - z_i) for i < j, each over i*etaD
+    later, earlier = np.tril_indices(n, -1)
+    args = np.concatenate((zs.sum(axis=1, keepdims=True), zs[:, later] - zs[:, earlier]), axis=1)
+    rhs = det_prefactor(n) * ie ** n * np.prod(theta_odd_pair(args, params.torus)[0] / ie, axis=1)
+    return _report(name, _rel_diff(det, rhs), lambda d: {"z": [_cx(z) for z in zs[d]]}, seed, tol)
 
 
 def check_conjugation(draws: int, seed: int, params: ModelParams,
@@ -427,11 +406,9 @@ def check_conjugation(draws: int, seed: int, params: ModelParams,
         * prod_{j != k} theta(lam_jk' + eta/n)/theta(lam_jk)
     """
     rng = _rng_for("conjugation", seed)
-    torus = params.torus
     tau, eta, n = params.tau, params.eta, params.n
-    worst, worst_params = -1.0, {}
-    done = 0
-    while done < draws:
+    lams, zs, lhs = [], [], []
+    while len(lams) < draws:
         try:
             lam = _draw_weights(rng, params)
             z = draw_generic(rng, tau)
@@ -439,21 +416,23 @@ def check_conjugation(draws: int, seed: int, params: ModelParams,
             pe = phi_matrix(z + eta, lam).entries
         except (NearSingular, PoleAtLatticePoint, DegenerateWeights):
             continue
-        for k in range(n):
-            for kp in range(n):
-                lhs = complex(np.add.reduce(pb[k, :] * pe[:, kp]))
-                rhs = theta_odd(z + eta / n + lam.lam[k] - lam.lam[kp], torus) / theta_odd(z, torus)
-                for j in range(n):
-                    if j != k:
-                        rhs *= theta_odd(lam.lam[j] - lam.lam[kp] + eta / n, torus)
-                        rhs /= theta_odd(lam.lam[j] - lam.lam[k], torus)
-                res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-                if res > worst:
-                    worst = res
-                    worst_params = {"lambda": [_cx(x) for x in lam.lam], "z": _cx(z),
-                                    "k": k, "kprime": kp}
-        done += 1
-    return IdentityReport.from_sweep("conjugation", draws, worst, worst_params, seed, tol)
+        lams.append(lam)
+        zs.append(z)
+        lhs.append(pb @ pe)  # [k, k']
+    lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
+    z = np.array(zs, dtype=complex)
+    zn = z[:, None, None] + eta / n
+    d = _diffs(lam, lam)  # [d, j, k] = lam_j - lam_k
+    th = theta_odd_pair(np.stack((d, d + eta / n, d + zn)), params.torus)[0]
+    tz = theta_odd_pair(z, params.torus)[0][:, None, None]
+    # [d, k, j, k'] = theta(lam_jk' + eta/n), with the j = k factor set to 1
+    shifted = np.where(np.eye(n, dtype=bool)[:, :, None], 1, th[1][:, None, :, :])
+    rhs = (th[2] / tz * np.prod(shifted, axis=2)
+           / np.prod(_drop_diagonal(th[0]), axis=1)[:, :, None])
+    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n), rhs)
+    return _report("conjugation", residuals, lambda d, k, kp: {
+        "lambda": [_cx(x) for x in lam[d]], "z": _cx(z[d]), "k": k, "kprime": kp,
+    }, seed, tol)
 
 
 def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> IdentityReport:
@@ -461,12 +440,9 @@ def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> I
     rng = _rng_for("ks_identity", seed)
     tau = params.tau
     n = params.n
-    worst, worst_params = -1.0, {}
-    done = 0
-    while done < draws:
-        xs = []
-        for _ in range(n):
-            xs.append(draw_generic(rng, tau, avoid=xs))
+    rows = []
+    while len(rows) < draws:
+        xs = _draw_distinct(rng, tau, n)
         ys = [draw_generic(rng, tau, avoid=xs) for _ in range(n)]
         xi = draw_generic(rng, tau, avoid=[a - b for a in xs for b in xs])
         kp = int(rng.integers(n))
@@ -474,17 +450,16 @@ def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> I
         z = n * xi + sum(xs) - sum(ys)
         if lattice_distance(z, tau) < _MIN_ZERO_DIST:
             continue
-        res = ks_identity_residual(xs, ys, xi, kp, params)
-        scale = abs(theta_odd(z, params.torus))
-        for s in range(n):
-            scale *= abs(theta_odd(xs[kp] - ys[s], params.torus))
-        res = res / (scale + 1e-300)
-        if res > worst:
-            worst = res
-            worst_params = {"x": [_cx(x) for x in xs], "y": [_cx(y) for y in ys],
-                            "xi": _cx(xi), "kprime": kp}
-        done += 1
-    return IdentityReport.from_sweep("ks_identity", draws, worst, worst_params, seed, tol)
+        rows.append((xs, ys, xi, kp, z))
+    raw = np.array([ks_identity_residual(xs, ys, xi, kp, params) for xs, ys, xi, kp, _ in rows])
+    # scale: |theta(z)| prod_s |theta(x_k' - y_s)|
+    args = np.array([[z] + [xs[kp] - y for y in ys] for xs, ys, _, kp, z in rows],
+                    dtype=complex).reshape(draws, n + 1)
+    scale = np.prod(np.abs(theta_odd_pair(args, params.torus)[0]), axis=1)
+    return _report("ks_identity", raw / (scale + 1e-300), lambda d: {
+        "x": [_cx(x) for x in rows[d][0]], "y": [_cx(y) for y in rows[d][1]],
+        "xi": _cx(rows[d][2]), "kprime": rows[d][3],
+    }, seed, tol)
 
 
 def _draw_backlund(rng, params):
@@ -577,7 +552,12 @@ def check_ybe(draws: int, seed: int, params: ModelParams, tol: float = 1e-8) -> 
 # suite driver
 # ---------------------------------------------------------------------------
 
-def _suite_jobs(config: SuiteConfig):
+def run_all(config: SuiteConfig) -> list[IdentityReport]:
+    """Run every identity check plus the Lax-side residual suite and the YBE.
+
+    Deterministic for a fixed seed: each check owns an rng stream derived
+    from (seed, check name), and reports are merged by identity name.
+    """
     params = config.params
     torus = params.torus
     seed = config.seed
@@ -588,34 +568,17 @@ def _suite_jobs(config: SuiteConfig):
     def ndraws(default):
         return config.draws if config.draws is not None else default
 
-    return [
-        lambda: [check_functional_relation(ndraws(100), seed, torus, tol(1e-9))],
-        lambda: [check_lagrange(3, ndraws(50), seed, torus, tol(1e-9))],
-        lambda: [check_null_sum(3, ndraws(50), seed, torus, tol(1e-9))],
-        lambda: [check_lemma(3, ndraws(30), seed, torus, tol(1e-9))],
-        lambda: [check_commute(ndraws(20), seed, params, tol(1e-8))],
-        lambda: [check_det_formula(params.n, ndraws(50), seed, params, tol(1e-9))],
-        lambda: [check_conjugation(ndraws(20), seed, params, tol(1e-9))],
-        lambda: [check_ks(ndraws(50), seed, params, tol(1e-9))],
-        lambda: list(check_backlund_residuals(ndraws(25), seed, params, tol(1e-8))),
-        lambda: [check_ybe(ndraws(15), seed, params, tol(1e-8))],
+    reports = [
+        check_functional_relation(ndraws(100), seed, torus, tol(1e-9)),
+        check_lagrange(3, ndraws(50), seed, torus, tol(1e-9)),
+        check_null_sum(3, ndraws(50), seed, torus, tol(1e-9)),
+        check_lemma(3, ndraws(30), seed, torus, tol(1e-9)),
+        check_commute(ndraws(20), seed, params, tol(1e-8)),
+        check_det_formula(params.n, ndraws(50), seed, params, tol(1e-9)),
+        check_conjugation(ndraws(20), seed, params, tol(1e-9)),
+        check_ks(ndraws(50), seed, params, tol(1e-9)),
+        *check_backlund_residuals(ndraws(25), seed, params, tol(1e-8)),
+        check_ybe(ndraws(15), seed, params, tol(1e-8)),
     ]
-
-
-def run_all(config: SuiteConfig) -> list[IdentityReport]:
-    """Run every identity check plus the Lax-side residual suite and the YBE.
-
-    Deterministic for a fixed seed: each check owns an rng stream derived
-    from (seed, check name), and reports are merged by identity name.
-    Parallelism is capped by the RS_BACKLUND_THREADS environment variable.
-    """
-    jobs = _suite_jobs(config)
-    threads = int(os.environ.get("RS_BACKLUND_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            batches = list(pool.map(lambda job: job(), jobs))
-    else:
-        batches = [job() for job in jobs]
-    reports = [rep for batch in batches for rep in batch]
     reports.sort(key=lambda rep: rep.identity_name)
     return reports

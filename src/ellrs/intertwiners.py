@@ -21,6 +21,7 @@ from .elliptic import (
     lattice_distance,
     theta_level,
     theta_odd,
+    theta_odd_pair,
 )
 from .errors import DegenerateWeights, NearSingular
 
@@ -69,10 +70,6 @@ class WeightVector:
     def pairings(self) -> np.ndarray:
         return self.lam - self.total / self.n
 
-    def diff(self, i: int, j: int) -> complex:
-        """lambda_ij = lambda_i - lambda_j."""
-        return complex(self.lam[i] - self.lam[j])
-
 
 @dataclass(frozen=True)
 class IntertwinerMatrix:
@@ -88,13 +85,10 @@ def phi_matrix(z: complex, lam: WeightVector) -> IntertwinerMatrix:
     params = lam.params
     n = params.n
     ie = 1j * dedekind_eta(params.tau)
-    pairs = lam.pairings()
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            # rows run over theta_1 .. theta_n (theta_n = theta_0); the row order
-            # fixes the sign of the determinant identity
-            entries[i, k] = theta_level(i + 1, z / n - pairs[k], params) / ie
+    # rows run over theta_1 .. theta_n (theta_n = theta_0); the row order
+    # fixes the sign of the determinant identity
+    rows = np.arange(1, n + 1)[:, None]
+    entries = theta_level(rows, z / n - lam.pairings()[None, :], params) / ie
     entries.setflags(write=False)
     return IntertwinerMatrix(entries, complex(z), lam)
 
@@ -155,11 +149,10 @@ def det_phi_closed_form(z: complex, lam: WeightVector) -> complex:
     torus = params.torus
     ie = 1j * dedekind_eta(params.tau)
     zs = z / n - lam.pairings()
-    out = det_prefactor(n) * theta_odd(np.add.reduce(zs) + 0j, torus) / ie
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= theta_odd(zs[j] - zs[i], torus) / ie
-    return out
+    # theta(sum z_j) and theta(z_j - z_i) for i < j, each over i*etaD
+    later, earlier = np.tril_indices(n, -1)
+    args = np.concatenate(([np.add.reduce(zs)], zs[later] - zs[earlier]))
+    return det_prefactor(n) * complex(np.prod(theta_odd_pair(args, torus)[0] / ie))
 
 
 def det_residual(z: complex, lam: WeightVector) -> float:
@@ -193,8 +186,9 @@ def cross_sum_residual(
     lhs = complex(np.add.reduce(pb[k, :] * pu[:, k2]))
     pl = lam.pairings()
     pm = mu.pairings()
-    rhs = theta_odd(z + u / n + pm[k] - pl[k2], torus) / theta_odd(z, torus)
-    for l in range(n):
-        if l != k:
-            rhs *= theta_odd(u / n + pm[l] - pl[k2], torus) / theta_odd(pm[l] - pm[k], torus)
+    others = np.arange(n) != k
+    th = theta_odd_pair(np.concatenate((
+        [z + u / n + pm[k] - pl[k2], z], u / n + pm[others] - pl[k2], pm[others] - pm[k],
+    )), torus)[0]
+    rhs = th[0] / th[1] * np.prod(th[2:n + 1] / th[n + 1:])
     return abs(lhs - rhs)

@@ -32,6 +32,7 @@ from .elliptic import (
     ModelParams,
     lattice_distance,
     theta_odd,
+    theta_odd_pair,
     theta_table,
 )
 from .errors import PathThroughZero, PoleAtLatticePoint, ShiftMismatch
@@ -209,13 +210,11 @@ def m_matrix(
 # residual checks
 # ---------------------------------------------------------------------------
 
-def s_mu(x: complex, mu: WeightVector) -> complex:
-    """Kernel section s_mu(x) = prod_l theta(x - mu_l)."""
-    torus = mu.params.torus
-    val = 1.0 + 0j
-    for m in mu.lam:
-        val *= theta_odd(x - m, torus)
-    return val
+def s_mu(x, mu: WeightVector):
+    """Kernel section s_mu(x) = prod_l theta(x - mu_l), elementwise over an array x."""
+    d = np.asarray(x, dtype=complex)[..., None] - mu.lam
+    val = np.prod(theta_odd_pair(d, mu.params.torus)[0], axis=-1)
+    return complex(val) if val.ndim == 0 else val
 
 
 def lax_equation_residual(z: complex, step: BacklundStep) -> float:
@@ -231,9 +230,7 @@ def lax_equation_residual(z: complex, step: BacklundStep) -> float:
 def eigenvector_residual(step: BacklundStep) -> float:
     """Residual of sum_k L(u)_{k',k} s_mu(lam_k + eta/n) = e^c s_mu(lam_k' + eta/n)."""
     lam = step.source.lam
-    eta = lam.params.eta
-    n = lam.n
-    psi = np.array([s_mu(lam.lam[k] + eta / n, step.mu) for k in range(n)])
+    psi = s_mu(lam.lam + lam.params.eta / lam.n, step.mu)
     lg = lax_gauge(step.u, step.source, step.v)
     rhs = cmath.exp(step.c) * psi
     return float(np.abs(lg @ psi - rhs).max() / np.abs(rhs).max())
@@ -248,20 +245,34 @@ def kernel_residual(step: BacklundStep) -> float:
     """
     lam = step.source.lam
     params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
-    psi = np.array([s_mu(lam.lam[k] + eta / n, step.mu) for k in range(n)])
+    psi = s_mu(lam.lam + params.eta / params.n, step.mu)
     mg = m_matrix(step.u, lam, step.mu, step.u, step.v)
-    big_z = step.u - step.v - eta
-    factors = np.array([
-        [theta_odd(big_z + lam.lam[k] - step.mu.lam[kp] + eta / n, torus)
-         for k in range(n)]
-        for kp in range(n)
-    ])
+    big_z = step.u - step.v - params.eta
+    # [k', k] = theta(big_z + lam_k - mu_k' + eta/n)
+    factors = theta_table(big_z + lam.lam, step.mu.lam, (params.eta / params.n,),
+                          params.torus)[0][0].T
     theta_scale = max(1.0, float(np.abs(factors).max()))
     safe = np.where(np.abs(factors) < 1e-150, 1.0, factors)
     stripped = np.abs(mg / safe) * np.abs(psi)[None, :]
     scale = float(stripped.sum(axis=1).max()) * theta_scale
     return float(np.abs(mg @ psi).max() / (scale + 1e-300))
+
+
+def _ks_sides(xs: np.ndarray, ys: np.ndarray, xi: complex, kprime: int,
+              torus) -> tuple[complex, complex]:
+    """Both sides of the closing theta identity of ks_identity_residual."""
+    n = xs.size
+    z = n * xi + np.add.reduce(xs - ys)
+    # [delta, k, s] = theta(x_k - y_s + delta) and theta(x_k - x_l + delta)
+    xy = theta_table(xs, ys, (xi, 0), torus)[0]
+    xx = theta_table(xs, xs, (0, -xi, z - xi), torus)[0]
+    # [k, l] = theta(x_k'l - xi) / theta(x_kl); the l = k factor is not part of the product
+    den = xx[0]
+    np.fill_diagonal(den, 1)
+    ratio = xx[1][kprime] / den
+    np.fill_diagonal(ratio, 1)
+    lhs = np.sum(xx[2][kprime] * np.prod(xy[0], axis=1) * np.prod(ratio, axis=1))
+    return complex(lhs), theta_odd(z, torus) * complex(np.prod(xy[1][kprime]))
 
 
 def ks_identity_residual(xvec, yvec, xi: complex, kprime: int, params: ModelParams) -> float:
@@ -271,26 +282,11 @@ def ks_identity_residual(xvec, yvec, xi: complex, kprime: int, params: ModelPara
           prod_{l != k} theta(x_k'l - xi)/theta(x_kl)
         = theta(z) prod_s theta(x_k' - y_s),   z = n*xi + sum_k (x_k - y_k).
     """
-    torus = params.torus
     xs = np.asarray(xvec, dtype=complex).reshape(-1)
     ys = np.asarray(yvec, dtype=complex).reshape(-1)
-    n = xs.size
-    if ys.size != n:
+    if ys.size != xs.size:
         raise ValueError("xvec and yvec must have the same length")
-    z = n * xi + np.add.reduce(xs - ys)
-    lhs = 0j
-    for k in range(n):
-        term = theta_odd(z + xs[kprime] - xs[k] - xi, torus)
-        for s in range(n):
-            term *= theta_odd(xs[k] - ys[s] + xi, torus)
-        for l in range(n):
-            if l != k:
-                term *= theta_odd(xs[kprime] - xs[l] - xi, torus)
-                term /= theta_odd(xs[k] - xs[l], torus)
-        lhs += term
-    rhs = theta_odd(z, torus)
-    for s in range(n):
-        rhs *= theta_odd(xs[kprime] - ys[s], torus)
+    lhs, rhs = _ks_sides(xs, ys, xi, kprime, params.torus)
     return abs(lhs - rhs)
 
 
@@ -366,7 +362,7 @@ def _log_theta_antiderivative(end: complex, params: ModelParams) -> complex:
             t0 = panel / panels
             t1 = (panel + 1) / panels
             zs = a + (b - a) * (t0 + (t1 - t0) * (nodes + 1) / 2)
-            vals = np.array([cmath.log(theta_odd(zz, torus)) for zz in zs])
+            vals = np.log(theta_odd_pair(zs, torus)[0])
             for idx in range(vals.size):
                 cur = vals[idx].imag + offset
                 if prev is not None:

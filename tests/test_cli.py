@@ -74,6 +74,12 @@ class TestVerify:
         assert len(reports) >= 10
         assert all(r["passed"] for r in reports)
 
+    def test_thread_variable_is_ignored(self, tmp_path, monkeypatch):
+        # the suite runs in sequence; the old thread-count variable is not read
+        monkeypatch.setenv("RS_BACKLUND_THREADS", "abc")
+        cfg = write_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v.json")]) == 0
+
     def test_tight_tolerance_fails(self, tmp_path):
         out = tmp_path / "verify.json"
         cfg = write_config(tmp_path, tol=1e-15)

@@ -236,6 +236,49 @@ class TestThetaFamilies:
         assert abs(a - b) < 1e-13 * max(abs(a), 1e-30)
 
 
+class TestBandArrays:
+    """Array j and z through theta_band / theta_level against scalar calls."""
+
+    @pytest.mark.parametrize("tau", [0.5j, 1j, 0.3 + 1.2j])
+    @pytest.mark.parametrize("func", [theta_band, theta_level])
+    def test_matches_scalar_elementwise(self, tau, func):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 5):
+            params = ModelParams(n, 0.23, TorusParams(tau))
+            j = np.arange(-n, 2 * n)[:, None]  # indices below 0 and above n - 1 too
+            z = rng.uniform(-1.5, 1.5, (1, 6)) + 1j * rng.uniform(-1.5, 1.5, (1, 6))
+            got = func(j, z, params)
+            assert got.shape == (j.size, z.size)
+            for (a, b), value in np.ndenumerate(got):
+                want = func(int(j[a, 0]), complex(z[0, b]), params)
+                assert isinstance(want, complex)
+                assert abs(value - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("func, im_z", [
+        (theta_band, np.arange(22.0, 30.0, 0.25)),
+        (theta_level, np.arange(7.0, 10.0, 0.125)),
+    ])
+    def test_nonconvergent_exactly_where_scalar(self, params3, func, im_z):
+        zs = 0.1 + 1j * im_z
+        scalar_raises = []
+        for z in zs:
+            try:
+                func(1, z, params3)
+                scalar_raises.append(False)
+            except NonconvergentSeries:
+                scalar_raises.append(True)
+        assert any(scalar_raises) and not all(scalar_raises)
+        bands = np.arange(params3.n)
+        for z, raises in zip(zs, scalar_raises):
+            if raises:
+                with pytest.raises(NonconvergentSeries):
+                    func(bands, np.array([z]), params3)
+            else:
+                func(bands, np.array([z]), params3)
+        with pytest.raises(NonconvergentSeries):
+            func(bands[:, None], zs[None, :], params3)
+
+
 class TestDedekindEta:
     def test_closed_form_at_i(self):
         want = math.gamma(0.25) / (2 * PI ** 0.75)

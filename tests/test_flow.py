@@ -120,14 +120,18 @@ class TestStepEquation:
                 c = rand_complex(rng, 0.3)
                 t = backlund_t(lam, mu, c)
                 trial = mu.lam + 0.02 * np.array([rand_complex(rng) for _ in range(n)])
-                res, jac = flow._flow_jacobian(trial, lam.lam, t, c, params)
-                assert np.abs(res - flow._flow_residual(trial, lam.lam, t, c, params)).max() == 0
+
+                def residual(m):
+                    return flow._flow_table(m, lam.lam, c, params)[0] - t
+
+                res, jac = flow._flow_jacobian(trial, lam.lam, t, params,
+                                               flow._flow_table(trial, lam.lam, c, params))
+                assert np.abs(res - residual(trial)).max() == 0
                 fd = np.empty((n, n), dtype=complex)
                 for s in range(n):
                     dm = np.zeros(n, dtype=complex)
                     dm[s] = h
-                    fd[:, s] = (flow._flow_residual(trial + dm, lam.lam, t, c, params)
-                                - flow._flow_residual(trial - dm, lam.lam, t, c, params)) / (2 * h)
+                    fd[:, s] = (residual(trial + dm) - residual(trial - dm)) / (2 * h)
                 assert np.abs(jac - fd).max() < 1e-7 * np.abs(jac).max()
 
     def test_jacobian_pole_guard(self, fixture_lam, fixture_mu):
@@ -136,7 +140,8 @@ class TestStepEquation:
         mu = fixture_mu.lam.copy()
         mu[1] = fixture_lam.lam[0] + params.eta / params.n + 1j + 1e-12
         with pytest.raises(PoleAtLatticePoint):
-            flow._flow_jacobian(mu, fixture_lam.lam, t, 0.1, params)
+            flow._flow_jacobian(mu, fixture_lam.lam, t, params,
+                                flow._flow_table(mu, fixture_lam.lam, 0.1, params))
 
     def test_zero_theta_stalls_the_attempt(self, monkeypatch, fixture_lam, fixture_mu):
         params = fixture_lam.params
@@ -150,7 +155,7 @@ class TestStepEquation:
 
         monkeypatch.setattr(flow, "theta_table", zero_corner)
         with pytest.raises(FloatingPointError):
-            flow._flow_residual(fixture_mu.lam, fixture_lam.lam, t, 0.1, params)
+            flow._flow_table(fixture_mu.lam, fixture_lam.lam, 0.1, params)
         with pytest.raises(NoConvergence):
             solve_next(fixture_lam, t, 0.1, SolverConfig(max_iter=5, multistart=2))
 

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from ellrs import ModelParams, SuiteConfig, TorusParams, run_all
+from ellrs import ModelParams, SuiteConfig, TorusParams, run_all, theta_odd
 from ellrs.identities import (
+    _lemma_weights,
     check_backlund_residuals,
     check_commute,
     check_conjugation,
@@ -17,6 +19,8 @@ from ellrs.identities import (
     check_null_sum,
     check_ybe,
 )
+from ellrs.lax import _ks_sides
+from conftest import rand_complex
 
 EXPECTED_NAMES = {
     "commute",
@@ -88,6 +92,85 @@ class TestIndividualChecks:
         assert check_ybe(10, 42, params2).passed
 
 
+def lemma_weights_loop(xs, ys, xi, torus):
+    """w_y(j), w_x(j) of the exchange lemma, one scalar theta call per factor."""
+    n = len(xs)
+    wy, wx = [], []
+    for j in range(n):
+        val = 1.0 + 0j
+        for m in range(n):
+            if m != j:
+                d = ys[j] - ys[m]
+                val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
+        for s in range(n):
+            d = xs[s] - ys[j]
+            val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
+        wy.append(val)
+        val = 1.0 + 0j
+        for m in range(n):
+            if m != j:
+                d = xs[j] - xs[m]
+                val *= theta_odd(d + xi, torus) / theta_odd(d, torus)
+        for s in range(n):
+            d = xs[j] - ys[s]
+            val *= theta_odd(d - xi, torus) / theta_odd(d, torus)
+        wx.append(val)
+    return np.array(wy), np.array(wx)
+
+
+def ks_sides_loop(xs, ys, xi, kprime, torus):
+    """Both sides of the closing ks identity, one scalar theta call per factor."""
+    n = len(xs)
+    z = n * xi + sum(xs) - sum(ys)
+    lhs = 0j
+    for k in range(n):
+        term = theta_odd(z + xs[kprime] - xs[k] - xi, torus)
+        for s in range(n):
+            term *= theta_odd(xs[k] - ys[s] + xi, torus)
+        for l in range(n):
+            if l != k:
+                term *= theta_odd(xs[kprime] - xs[l] - xi, torus)
+                term /= theta_odd(xs[k] - xs[l], torus)
+        lhs += term
+    rhs = theta_odd(z, torus)
+    for s in range(n):
+        rhs *= theta_odd(xs[kprime] - ys[s], torus)
+    return lhs, rhs
+
+
+class TestBatchedSides:
+    """The batched theta products against scalar-loop oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lemma_weights_match_loop(self, n):
+        rng = np.random.default_rng(30 + n)
+        for tau in (1j, 0.3 + 1.2j):
+            torus = TorusParams(tau)
+            xs = np.array([[rand_complex(rng) for _ in range(n)] for _ in range(6)])
+            ys = np.array([[rand_complex(rng) for _ in range(n)] for _ in range(6)])
+            xi = np.array([rand_complex(rng, 0.3) for _ in range(6)])
+            wy, wx = _lemma_weights(xs, ys, xi, torus)
+            for d in range(6):
+                want_y, want_x = lemma_weights_loop(xs[d], ys[d], xi[d], torus)
+                assert np.abs(wy[d] - want_y).max() <= 1e-12 * np.abs(want_y).max()
+                assert np.abs(wx[d] - want_x).max() <= 1e-12 * np.abs(want_x).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ks_sides_match_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        for tau in (1j, 0.3 + 1.2j):
+            torus = TorusParams(tau)
+            for _ in range(6):
+                xs = np.array([rand_complex(rng) for _ in range(n)])
+                ys = np.array([rand_complex(rng) for _ in range(n)])
+                xi = rand_complex(rng, 0.3)
+                kp = int(rng.integers(n))
+                lhs, rhs = _ks_sides(xs, ys, xi, kp, torus)
+                want_l, want_r = ks_sides_loop(xs, ys, xi, kp, torus)
+                assert abs(lhs - want_l) <= 1e-12 * abs(want_l)
+                assert abs(rhs - want_r) <= 1e-12 * abs(want_r)
+
+
 class TestRunAll:
     def test_default_config_all_pass(self, params3):
         reports = run_all(SuiteConfig(params=params3, seed=42))
@@ -115,12 +198,6 @@ class TestRunAll:
     def test_passed_iff_below_tol(self, params3):
         for rep in run_all(SuiteConfig(params=params3, seed=1, draws=3)):
             assert rep.passed == (rep.max_residual < rep.tol)
-
-    def test_threaded_run_matches_sequential(self, params3, monkeypatch):
-        seq = run_all(SuiteConfig(params=params3, seed=5, draws=3))
-        monkeypatch.setenv("RS_BACKLUND_THREADS", "4")
-        par = run_all(SuiteConfig(params=params3, seed=5, draws=3))
-        assert seq == par
 
 
 class TestParameterGrid:
