@@ -34,4 +34,4 @@ class DegenerateSolution(EllrsError):
 
 
 class PathThroughZero(EllrsError):
-    """An integration path could not be deformed away from a theta zero."""
+    """An argument of the log-theta antiderivative lies at (or too close to) a theta zero."""

@@ -169,15 +169,14 @@ def solve_next(
             failure = str(exc)
             continue
     if failure == "Newton iteration stalled":
-        raise NoConvergence(
-            f"solve_next failed after {max(1, cfg.multistart)} starts x {cfg.max_iter} iterations"
-        )
+        raise NoConvergence(f"solve_next failed from {max(1, cfg.multistart)} starts "
+                            f"of at most {cfg.max_iter} iterations")
     raise DegenerateSolution(f"solve_next converged onto degenerate weights: {failure}")
 
 
 def _newton(mu, lam_arr, t, c, params, cfg):
     scale = np.abs(t)
-    table = None  # _flow_table at mu, when the line search has computed it
+    table = None  # _flow_table at mu: after the first iteration, the accepted trial's
     for _ in range(cfg.max_iter):
         try:
             if table is None:
@@ -204,13 +203,8 @@ def _newton(mu, lam_arr, t, c, params, cfg):
                 break
             factor /= 2
         else:
-            table = None  # the step taken is shorter than the last one tried
+            return None  # stagnation: no decrease along the Newton direction
         mu = mu + factor * delta
-    try:
-        if table is None:
-            table = _flow_table(mu, lam_arr, c, params)
-    except _ATTEMPT_ERRORS:
-        return None
     return mu if np.max(np.abs(table[0] - t) / scale) < cfg.tol else None
 
 

@@ -24,23 +24,29 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .elliptic import (
+    _EXP_LIMIT,
+    _SERIES_EPS,
     ModelParams,
     lattice_distance,
     theta_odd,
     theta_odd_pair,
     theta_table,
 )
-from .errors import PathThroughZero, PoleAtLatticePoint, ShiftMismatch
+from .errors import NonconvergentSeries, PathThroughZero, PoleAtLatticePoint, ShiftMismatch
 from .intertwiners import WeightVector, phi_inverse, phi_matrix
 
-_GL_NODES = 16
+# arguments of the generating function closer than this to a theta zero are
+# rejected: dF diverges there
 _PATH_CLEARANCE = 1e-3
-_BUMP = 0.01
+# q-terms of the log-theta antiderivative beyond this (Im tau below about 1.5e-3)
+# are refused rather than summed
+_MAX_Q_TERMS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -66,43 +72,31 @@ class PhaseConfig:
 
 @dataclass(frozen=True)
 class BacklundStep:
-    """Record of one completed Backlund transformation (lambda,t) -> (mu,t~)."""
+    """One Backlund transformation (lambda,t) -> (mu,t~), built from the free
+    data (lambda, mu, c, u): t, t~ and C by their defining formulas, and the
+    zero shift v = u + sum(lambda - mu)."""
 
-    source: PhaseConfig
+    lam: InitVar[WeightVector]
     mu: WeightVector
-    t_tilde: np.ndarray
-    C: np.ndarray
     c: complex
     u: complex
-    v: complex
+    source: PhaseConfig = field(init=False)
+    t_tilde: np.ndarray = field(init=False)
+    C: np.ndarray = field(init=False)
+    v: complex = field(init=False)
 
-    def __post_init__(self):
-        lam, mu = self.source.lam, self.mu
-        shift = self.u + lam.total - mu.total
-        if abs(self.v - shift) > 1e-12 * (1.0 + abs(self.v)):
-            raise ShiftMismatch(f"v={self.v} but u + sum(lambda-mu) = {shift}")
-        for got, want, name in (
-            (self.source.t, backlund_t(lam, mu, self.c), "t"),
-            (self.t_tilde, backlund_ttilde(lam, mu, self.c), "t_tilde"),
-            (self.C, backlund_C(lam, mu), "C"),
-        ):
-            err = np.abs(np.asarray(got) - want).max() / np.abs(want).max()
-            if err > 1e-10:
-                raise ValueError(f"{name} does not reproduce its defining formula ({err:.2e})")
+    def __post_init__(self, lam: WeightVector):
+        mu, c, u = self.mu, complex(self.c), complex(self.u)
+        derived = dict(c=c, u=u, source=PhaseConfig(lam, backlund_t(lam, mu, c)),
+                       t_tilde=backlund_ttilde(lam, mu, c), C=backlund_C(lam, mu),
+                       v=u + lam.total - mu.total)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> BacklundStep:
-    """Assemble a consistent BacklundStep from the free data (lambda, mu, c, u)."""
-    t = backlund_t(lam, mu, c)
-    return BacklundStep(
-        source=PhaseConfig(lam, t),
-        mu=mu,
-        t_tilde=backlund_ttilde(lam, mu, c),
-        C=backlund_C(lam, mu),
-        c=complex(c),
-        u=complex(u),
-        v=complex(u) + lam.total - mu.total,
-    )
+    """The BacklundStep of the free data (lambda, mu, c, u)."""
+    return BacklundStep(lam, mu, c, u)
 
 
 # ---------------------------------------------------------------------------
@@ -294,88 +288,29 @@ def ks_identity_residual(xvec, yvec, xi: complex, kprime: int, params: ModelPara
 # generating function
 # ---------------------------------------------------------------------------
 
-def _segment_clearance(a: complex, b: complex, tau: complex) -> tuple[float, complex]:
-    """(distance, point) of the lattice point nearest to the segment [a, b]."""
-    best = (np.inf, 0j)
-    lo_q = int(np.floor(min(a.imag, b.imag) / tau.imag)) - 1
-    hi_q = int(np.ceil(max(a.imag, b.imag) / tau.imag)) + 1
-    d = b - a
-    dd = (d * d.conjugate()).real
-    for q in range(lo_q, hi_q + 1):
-        re_lo = int(np.floor(min((a - q * tau).real, (b - q * tau).real))) - 1
-        re_hi = int(np.ceil(max((a - q * tau).real, (b - q * tau).real))) + 1
-        for p in range(re_lo, re_hi + 1):
-            g = p + q * tau
-            t = 0.0 if dd == 0 else ((g - a) * d.conjugate()).real / dd
-            t = min(1.0, max(0.0, t))
-            dist = abs(a + t * d - g)
-            if dist < best[0]:
-                best = (dist, g)
-    return best
+def _log_theta_antiderivative(x: np.ndarray, tau: complex) -> np.ndarray:
+    """S(x) = int log theta elementwise, integrated termwise from the Jacobi triple product
 
+        theta(x) = A e^{-pi i x} (1 - w) prod_{m>=1} (1 - q^m w)(1 - q^m / w),
+        w = e^{2 pi i x},  q = e^{2 pi i tau},  A = -i e^{pi i tau/4} prod_{m>=1} (1 - q^m),
 
-def _deformed_path(a: complex, b: complex, tau: complex) -> list[complex]:
-    """Straight path from a to b, with a midpoint bump away from any lattice
-    zero that sits within _PATH_CLEARANCE of the segment."""
-    for endpoint, name in ((a, "start"), (b, "end")):
-        if lattice_distance(endpoint, tau) < _PATH_CLEARANCE:
-            raise PathThroughZero(
-                f"log-theta path {name}point {endpoint} is within "
-                f"{_PATH_CLEARANCE} of a lattice zero"
-            )
-    dist, g = _segment_clearance(a, b, tau)
-    if dist >= _PATH_CLEARANCE:
-        return [a, b]
-    direction = (b - a) / abs(b - a)
-    normal = 1j * direction
-    side = ((g - a) * direction.conjugate()).imag  # >0: zero on +normal side
-    bump = -_BUMP * normal if side >= 0 else _BUMP * normal
-    mid = (a + b) / 2 + bump
-    for seg in ((a, mid), (mid, b)):
-        if _segment_clearance(*seg, tau)[0] < _PATH_CLEARANCE:
-            raise PathThroughZero(
-                f"cannot deform path {a} -> {b} away from lattice zero near {g}"
-            )
-    return [a, mid, b]
-
-
-def _log_theta_antiderivative(end: complex, params: ModelParams) -> complex:
-    """S(end) = int_{1/2}^{end} log theta(x) dx along an (almost) straight path.
-
-    The branch of log theta is tracked continuously from the base point 1/2,
-    so repeated calls are consistent up to the common base constant.
+    as x log A - pi i x^2/2 + [-Li2(w) - sum_m Li2(q^m w) + sum_m Li2(q^m / w)] / (2 pi i).
     """
-    torus = params.torus
-    tau = params.tau
-    path = _deformed_path(0.5 + 0j, complex(end), tau)
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    total = 0j
-    offset = 0.0
-    prev = None
-    for a, b in zip(path[:-1], path[1:]):
-        length = abs(b - a)
-        if length == 0:
-            continue
-        # node spacing must stay below the clearance so unwrapping cannot slip
-        panels = max(4, int(np.ceil(length * 24)))
-        for panel in range(panels):
-            t0 = panel / panels
-            t1 = (panel + 1) / panels
-            zs = a + (b - a) * (t0 + (t1 - t0) * (nodes + 1) / 2)
-            vals = np.log(theta_odd_pair(zs, torus)[0])
-            for idx in range(vals.size):
-                cur = vals[idx].imag + offset
-                if prev is not None:
-                    while cur - prev > np.pi:
-                        offset -= 2 * np.pi
-                        cur -= 2 * np.pi
-                    while cur - prev < -np.pi:
-                        offset += 2 * np.pi
-                        cur += 2 * np.pi
-                prev = cur
-                vals[idx] = complex(vals[idx].real, cur)
-            total += (b - a) * (t1 - t0) / 2 * np.add.reduce(vals * weights)
-    return total
+    # deferred: importing scipy.special costs about half a second
+    from scipy.special import spence
+
+    reach = float(np.abs(x.imag).max())
+    # |q^m w|^{+-1} <= e^{-2 pi (m Im tau - reach)}: terms past `count` are below _SERIES_EPS
+    count = math.ceil((reach - math.log(_SERIES_EPS) / (2 * math.pi)) / tau.imag)
+    if count > _MAX_Q_TERMS or 2 * math.pi * reach > _EXP_LIMIT:
+        raise NonconvergentSeries(f"log-theta antiderivative out of range at |Im x| = {reach} "
+                                  f"(tau={tau}, {count} q-terms)")
+    qm = np.exp(2j * math.pi * tau * np.arange(1, count + 1))
+    log_a = -0.5j * math.pi + 0.25j * math.pi * tau + np.log(1 - qm).sum()
+    w = np.exp(2j * math.pi * x)[..., None]
+    li2 = lambda z: spence(1 - z)
+    series = -li2(w[..., 0]) - li2(qm * w).sum(axis=-1) + li2(qm / w).sum(axis=-1)
+    return x * log_a - 0.5j * math.pi * x * x + series / (2j * math.pi)
 
 
 def generating_function(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> complex:
@@ -387,23 +322,27 @@ def generating_function(lam: WeightVector, mu: WeightVector, c: complex, u: comp
 
     F = sum_{k,k'} [S(lam_k - mu_k' + eta/n) - S(lam_k - mu_k')]
         + sum_{k<k'} [S(mu_kk' - eta/n) - S(mu_kk' + eta/n)]
-        + c * (u + sum_k (lam_k - mu_k)),      S(x) = int_{1/2}^x log theta.
+        + c * (u + sum_k (lam_k - mu_k)),      S(x) = int log theta.
 
-    The mu-mu part is written as an ordered sum (each pair once) so that every
-    S enters with an integer coefficient and the exponentiated gradients are
-    free of half-winding sign ambiguities.
+    The mu-mu part is an ordered sum (each pair once), so every S enters with
+    an integer coefficient.  S has one vertical cut per lattice zero p + m*tau,
+    running down from it for m <= 0 and up from it for m >= 1, across which S
+    changes by 2 pi i (x - p - m*tau).  F is therefore defined only up to terms
+    2 pi i (integer * x + constant) in its arguments x, which exp of its
+    gradients does not see.  An argument of S within _PATH_CLEARANCE of a theta
+    zero, where dF diverges, raises PathThroughZero.
     """
     params = lam.params
-    n, eta = params.n, params.eta
-    S = lambda x: _log_theta_antiderivative(x, params)
-    total = 0j
-    for k in range(n):
-        for kp in range(n):
-            d = lam.lam[k] - mu.lam[kp]
-            total += S(d + eta / n) - S(d)
-    for k in range(n):
-        for kp in range(k + 1, n):
-            d = mu.lam[k] - mu.lam[kp]
-            total += S(d - eta / n) - S(d + eta / n)
-    total += c * (u + lam.total - mu.total)
-    return total
+    n, h = params.n, params.eta / params.n
+    d = (lam.lam[:, None] - mu.lam[None, :]).ravel()
+    k, kp = np.triu_indices(n, 1)
+    e = mu.lam[k] - mu.lam[kp]
+    # the first half enters F with +1, the second with -1
+    args = np.concatenate((d + h, e - h, d, e + h))
+    near = lattice_distance(args, params.tau) < _PATH_CLEARANCE
+    if near.any():
+        raise PathThroughZero(f"argument {complex(args[near][0])} of S is within "
+                              f"{_PATH_CLEARANCE} of a theta zero")
+    s = _log_theta_antiderivative(args, params.tau)
+    half = args.size // 2
+    return complex(s[:half].sum() - s[half:].sum() + c * (u + lam.total - mu.total))

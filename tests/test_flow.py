@@ -96,6 +96,16 @@ class TestSolveNext:
         with pytest.raises((NoConvergence, DegenerateSolution)):
             solve_next(fixture_lam, t, 0.1, SolverConfig(max_iter=20, multistart=2))
 
+    def test_stagnation_ends_attempt(self, fixture_lam, monkeypatch):
+        # every start stalls in its first line search: one table at the start
+        # plus 24 halvings, then the attempt ends instead of creeping on
+        calls = []
+        table = flow._flow_table
+        monkeypatch.setattr(flow, "_flow_table", lambda *a: calls.append(1) or table(*a))
+        with pytest.raises(NoConvergence):
+            solve_next(fixture_lam, np.array([1e30, 1.0, 1.0]), 0.1)
+        assert len(calls) <= SolverConfig().multistart * 25
+
     def test_deterministic(self, fixture_lam, fixture_mu):
         t = backlund_t(fixture_lam, fixture_mu, 0.1)
         a = solve_next(fixture_lam, t, 0.1)

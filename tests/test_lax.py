@@ -8,9 +8,11 @@ import pytest
 
 from ellrs import (
     ModelParams,
+    NonconvergentSeries,
     PathThroughZero,
     PhaseConfig,
     ShiftMismatch,
+    TorusParams,
     WeightVector,
     backlund_C,
     backlund_t,
@@ -180,6 +182,17 @@ class TestBacklundCoefficients:
         swapped = backlund_C(fixture_lam, swapped_mu)
         assert np.abs(swapped - base[[1, 0, 2]]).max() < 1e-12 * np.abs(base).max()
 
+    def test_step_evaluates_each_formula_once(self, fixture_lam, fixture_mu, monkeypatch):
+        import ellrs.lax as lax
+
+        calls = []
+        for name in ("backlund_t", "backlund_ttilde", "backlund_C"):
+            formula = getattr(lax, name)
+            monkeypatch.setattr(lax, name, lambda *a, f=formula, k=name: calls.append(k) or f(*a))
+        step = make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.17 + 0.05j)
+        assert sorted(calls) == ["backlund_C", "backlund_t", "backlund_ttilde"]
+        assert np.array_equal(step.source.t, backlund_t(fixture_lam, fixture_mu, 0.1))
+
     def test_global_shift_invariance(self, params3, fixture_lam, fixture_mu):
         # all arguments are differences, so a common shift changes nothing
         delta = 0.13 - 0.21j
@@ -289,7 +302,62 @@ class TestKSIdentity:
         assert ks_identity_residual(xs, xs, xi, 2, params3) < 1e-9
 
 
+README_LAM = [0.11 + 0.03j, 0.43 - 0.06j, -0.37 + 0.09j]
+
+# (tau, lambda, mu, c, u) for the gradient contracts of generating_function
+GRADIENT_CASES = {
+    "readme_n3": (1j, README_LAM, np.array(README_LAM) - 0.05 - 0.02j + 0.01 * np.arange(3),
+                  0.1, 0.17 + 0.05j),
+    # lambda_2 - mu_1 = -0.276 + 0.008i: a straight path to it from 1/2 grazes the zero at 0
+    "tau_i_n2_near_zero": (1j, [0.2377 - 0.1268j, -0.1231 - 0.2131j],
+                           [0.1532 - 0.221j, -0.1682 - 0.1567j], 0.1, 0.2),
+    "n1": (1j, [0.3 + 0.05j], [0.18 - 0.02j], 0.07 - 0.03j, 0.4),
+    "n4_skew_tau": (0.3 + 1.2j, README_LAM + [0.24 + 0.35j],
+                    np.array(README_LAM + [0.24 + 0.35j]) - 0.05 - 0.02j + 0.01 * np.arange(4),
+                    0.1, 0.17 + 0.05j),
+}
+
+
 class TestGeneratingFunction:
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_gradients_match_t_and_ttilde(self, case):
+        tau, lam, mu, c, u = GRADIENT_CASES[case]
+        n = len(lam)
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        lam, mu = WeightVector(np.array(lam), params), WeightVector(np.array(mu), params)
+        t, tt = backlund_t(lam, mu, c), backlund_ttilde(lam, mu, c)
+        h = 1e-5
+        for k in range(n):
+            dv = np.zeros(n, dtype=complex)
+            dv[k] = h
+            fp = generating_function(WeightVector(lam.lam + dv, params), mu, c, u)
+            fm = generating_function(WeightVector(lam.lam - dv, params), mu, c, u)
+            assert abs(cmath.exp((fp - fm) / (2 * h)) - t[k]) < 1e-5 * abs(t[k])
+            gp = generating_function(lam, WeightVector(mu.lam + dv, params), c, u)
+            gm = generating_function(lam, WeightVector(mu.lam - dv, params), c, u)
+            assert abs(cmath.exp(-(gp - gm) / (2 * h)) - tt[k]) < 1e-5 * abs(tt[k])
+
+    @pytest.mark.parametrize("tau", [1j, 0.5j, 0.3 + 1.2j, -0.4 + 0.8j])
+    def test_antiderivative_matches_mpmath_quad(self, tau):
+        # S(b) - S(a) against the quadrature of a branch of log theta that is
+        # continuous along [a, b]; the segments keep clear of the zeros and of
+        # the vertical cuts of S, and one passes 0.008 above the zero at 0
+        mpmath = pytest.importorskip("mpmath")
+        from ellrs.lax import _log_theta_antiderivative
+
+        nome = mpmath.exp(1j * mpmath.pi * tau)
+        theta = lambda x: -mpmath.jtheta(1, mpmath.pi * x, nome)
+        for a, b in ((0.1 + 0.05j, 0.3 - 0.1j), (-0.1 + 0.008j, 0.1 + 0.008j),
+                     (0.4 + 0.3j, 0.6 + 0.35j), (0.2 - 0.7j, 0.3 - 0.6j)):
+            with mpmath.workdps(20):
+                mid = (a + b) / 2
+                ref = theta(mid)
+                f = lambda x: mpmath.log(theta(x) / ref) + mpmath.log(ref)
+                want = complex(mpmath.quad(f, [a, mid, b]))
+            sa, sb = _log_theta_antiderivative(np.array([a, b]), tau)
+            k = round(((sb - sa - want) / (2j * math.pi * (b - a))).real)
+            assert abs(sb - sa - want - 2j * math.pi * k * (b - a)) < 1e-12 * abs(want)
+
     def test_lambda_gradient_matches_t(self, params3, fixture_lam, fixture_mu):
         c, u = 0.1, 0.17 + 0.05j
         t = backlund_t(fixture_lam, fixture_mu, c)
@@ -321,6 +389,14 @@ class TestGeneratingFunction:
         fp = generating_function(fixture_lam, fixture_mu, 0.1 + h, u)
         fm = generating_function(fixture_lam, fixture_mu, 0.1 - h, u)
         assert abs((fp - fm) / (2 * h) - v) < 1e-10
+
+    @pytest.mark.parametrize("tau, lam", [(1e-7j, 0.3 + 0.05j), (1j, 0.3 + 200j)])
+    def test_out_of_range_raises_typed_error(self, tau, lam):
+        # far too many q-terms, or e^{2 pi i x} beyond double precision
+        params = ModelParams(1, 0.23, TorusParams(tau))
+        with pytest.raises(NonconvergentSeries):
+            generating_function(WeightVector(np.array([lam]), params),
+                                WeightVector(np.array([0.18 - 0.02j]), params), 0.1, 0.2)
 
     def test_path_through_zero(self, params3, fixture_lam):
         # lambda_1 - mu_1 lands within the path clearance of the base lattice zero
