@@ -34,7 +34,6 @@ from .errors import (
     NonconvergentSeries,
     PathThroughZero,
     PoleAtLatticePoint,
-    ShiftMismatch,
 )
 from .flow import (
     SolverConfig,

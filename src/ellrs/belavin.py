@@ -17,27 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ModelParams, lattice_distance, theta_band
-from .errors import PoleAtLatticePoint
+from .elliptic import ModelParams, theta_band
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RTensor:
     """R(z) as an (n,n,n,n) array: entries[i, j, i2, j2] = R(z)^{ij}_{i2 j2}."""
 
     entries: np.ndarray
     z: complex
     params: ModelParams
-
-
-def _check_band_generic(w: complex, params: ModelParams, what: str) -> None:
-    # theta^(k) vanishes at w = k*tau mod (1, n*tau)
-    n, tau = params.n, params.tau
-    near = lattice_distance(w - np.arange(n) * tau, n * tau) < params.torus.reduction_tol
-    if near.any():
-        raise PoleAtLatticePoint(
-            f"r_matrix: {what}={complex(w)} hits the zero set of theta^({np.argmax(near)})"
-        )
 
 
 def r_matrix(z: complex, params: ModelParams) -> RTensor:
@@ -50,31 +39,23 @@ def r_matrix(z: complex, params: ModelParams) -> RTensor:
                         * prod_{k != i-j'} theta^(k)(z) / prod_{k>=1} theta^(k)(0)
 
     which stays regular in z everywhere; in particular R(0) is the permutation
-    operator.  The eta denominators never vanish for a valid ModelParams
-    (their zero set is exactly the lattice eta is excluded from), but they are
-    still guarded here.
+    operator.  The eta denominators never vanish for a valid ModelParams: the
+    zero set of theta^(k) is k*tau + Z + n*tau*Z, inside the lattice that
+    ModelParams keeps eta away from.
     """
-    n = params.n
-    eta = params.eta
-    _check_band_generic(eta, params, "eta")
+    n, eta = params.n, params.eta
     bands = np.arange(n)
     band_z = theta_band(bands, z, params)
     band_eta = theta_band(bands, eta, params)
     band_ze = theta_band(bands, z + eta, params)
     denom0 = np.prod(theta_band(bands[1:], 0.0, params))
+    # others[s] = prod_{k != s} theta^(k)(z), without a division, so zero band values are safe
+    others = np.prod(np.where(np.eye(n, dtype=bool), 1, band_z), axis=1)
+    i, j, i2 = np.indices((n, n, n))
+    j2 = (i + j - i2) % n  # delta_{i+j, i'+j'} sparsity
     entries = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for i2 in range(n):
-                j2 = (i + j - i2) % n  # delta_{i+j, i'+j'} sparsity
-                skip = (i - j2) % n
-                num = 1.0 + 0j
-                for k in range(n):
-                    if k != skip:
-                        num *= band_z[k]
-                entries[i, j, i2, j2] = (
-                    band_ze[(i2 - j2) % n] * num / (band_eta[(i2 - i) % n] * denom0)
-                )
+    entries[i, j, i2, j2] = band_ze[(i2 - j2) % n] * others[(i - j2) % n] / (
+        band_eta[(i2 - i) % n] * denom0)
     entries.setflags(write=False)
     return RTensor(entries, complex(z), params)
 

@@ -32,6 +32,9 @@ _SERIES_EPS = 1e-17
 _SERIES_CAP = 500
 # exp() of a larger real part overflows double precision
 _EXP_LIMIT = 700.0
+# arguments closer than this to a pole lattice are refused by the kernels
+# that would diverge there
+_LATTICE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +43,14 @@ _EXP_LIMIT = 700.0
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Modulus tau of the curve C/(Z + tau*Z), with Im(tau) > 0.
-
-    reduction_tol is the lattice-proximity tolerance: arguments closer than
-    this to a pole lattice are rejected by the kernels that would diverge.
-    """
+    """Modulus tau of the curve C/(Z + tau*Z), with Im(tau) > 0."""
 
     tau: complex
-    reduction_tol: float = 1e-10
 
     def __post_init__(self):
         tau = complex(self.tau)
         if not tau.imag > 0:
             raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
-        if not self.reduction_tol > 0:
-            raise ValueError(f"reduction_tol must be positive, got {self.reduction_tol}")
         object.__setattr__(self, "tau", tau)
 
 
@@ -89,11 +85,7 @@ class ModelParams:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         eta = complex(self.eta)
         object.__setattr__(self, "eta", eta)
-        tol = self.torus.reduction_tol
-        if lattice_distance(eta, self.torus.tau) < tol:
-            raise ValueError(f"eta={eta} is within {tol} of the lattice")
-        if lattice_distance(eta / self.n, self.torus.tau) < tol:
-            raise ValueError(f"eta/n={eta / self.n} is within {tol} of the lattice")
+        lattice_guard([eta, eta / self.n], self.torus.tau, "eta or eta/n", error=ValueError)
 
     @property
     def tau(self) -> complex:
@@ -104,20 +96,12 @@ class ModelParams:
 # lattice reduction
 # ---------------------------------------------------------------------------
 
-def lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
-    """Split z = z0 + p + q*tau with Im(z0) in [-Im(tau)/2, Im(tau)/2).
+def lattice_reduce(z, tau: complex):
+    """Split z = z0 + p + q*tau with Im(z0) in [-Im(tau)/2, Im(tau)/2], elementwise.
 
-    Returns (z0, p, q) with integers p, q.
+    Returns (z0, p, q) with the shape of z, p and q integer-valued floats.
     """
-    z = complex(z)
-    q = round(z.imag / tau.imag)
-    z1 = z - q * tau
-    p = round(z1.real)
-    return z1 - p, p, q
-
-
-def _lattice_reduce_array(z: np.ndarray, tau: complex):
-    """lattice_reduce elementwise: (z0, p, q) arrays, p and q integer-valued floats."""
+    z = np.asarray(z, dtype=complex)
     q = np.rint(z.imag / tau.imag)
     z1 = z - q * tau
     p = np.rint(z1.real)
@@ -125,14 +109,21 @@ def _lattice_reduce_array(z: np.ndarray, tau: complex):
 
 
 def lattice_distance(z, tau: complex):
-    """Distance from z to the nearest point of Z + tau*Z, elementwise for an array z."""
-    if isinstance(z, np.ndarray):
-        z0 = _lattice_reduce_array(z, tau)[0]
-        cells = np.array([dp + dq * tau for dp in (-1, 0, 1) for dq in (-1, 0, 1)])
-        return np.abs(z0[..., None] - cells).min(axis=-1)
-    z0, _, _ = lattice_reduce(z, tau)
+    """Distance from z to the nearest point of Z + tau*Z, elementwise."""
+    z0 = lattice_reduce(z, tau)[0]
     # rounding per axis is not exact for skewed lattices; check neighbors
-    return min(abs(z0 - dp - dq * tau) for dp in (-1, 0, 1) for dq in (-1, 0, 1))
+    cells = np.array([dp + dq * tau for dp in (-1, 0, 1) for dq in (-1, 0, 1)])
+    return np.abs(z0[..., None] - cells).min(axis=-1)
+
+
+def lattice_guard(z, tau: complex, what: str, tol: float = _LATTICE_TOL,
+                  error: type[Exception] = PoleAtLatticePoint) -> None:
+    """Raise error, naming the first offending element, if any element of z
+    lies within tol of Z + tau*Z: the lattice-proximity guard of every module."""
+    z = np.asarray(z, dtype=complex)
+    near = lattice_distance(z, tau) < tol
+    if near.any():
+        raise error(f"{what}={complex(z[near][0])} is within {tol} of the lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +149,7 @@ def _series_window(im_tau: float) -> int:
 def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     """(theta[a,b], d/dz theta[a,b]) elementwise: the one theta series.
 
-    a broadcasts against z.  Each argument is reduced as lattice_reduce does,
+    a broadcasts against z.  Each argument is reduced by lattice_reduce,
     summed over the centered window of _series_window and mapped back through
     the quasi-periodicity factor.  Raises NonconvergentSeries when the window
     exceeds its cap or that factor overflows double precision at any element.
@@ -168,7 +159,7 @@ def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
     M = _series_window(tau.imag)
     z = np.asarray(z, dtype=complex)
-    z0, p, q = _lattice_reduce_array(z, tau)
+    z0, p, q = lattice_reduce(z, tau)
     zb = z0 + b
     expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * zb
     over = expo.real > _EXP_LIMIT
@@ -284,19 +275,13 @@ def zeta_log(z: complex, torus: TorusParams) -> complex:
 
     Has simple poles exactly on the lattice, hence the proximity guard.
     """
-    if lattice_distance(z, torus.tau) < torus.reduction_tol:
-        raise PoleAtLatticePoint(f"zeta_log: z={complex(z)} is lattice-proximate")
+    lattice_guard(z, torus.tau, "zeta_log: z")
     value, deriv = theta_odd_pair(z, torus)
     return complex(deriv / value)
 
 
 def phi_kernel(z: complex, x: complex, torus: TorusParams) -> complex:
     """Kronecker-type kernel Phi_z(x) = theta(z+x) / (theta(z)*theta(x))."""
-    tol = torus.reduction_tol
-    tau = torus.tau
-    if lattice_distance(z, tau) < tol:
-        raise PoleAtLatticePoint(f"phi_kernel: z={complex(z)} is lattice-proximate")
-    if lattice_distance(x, tau) < tol:
-        raise PoleAtLatticePoint(f"phi_kernel: x={complex(x)} is lattice-proximate")
+    lattice_guard([z, x], torus.tau, "phi_kernel: z or x")
     th = theta_odd_pair(np.array([z + x, z, x], dtype=complex), torus)[0]
     return complex(th[0] / (th[1] * th[2]))

@@ -21,10 +21,6 @@ class NearSingular(EllrsError):
     """Matrix inversion refused: estimated condition number above threshold."""
 
 
-class ShiftMismatch(EllrsError):
-    """The zero-shift relation v = u + sum(lambda - mu) is violated."""
-
-
 class NoConvergence(EllrsError):
     """Newton iteration exhausted its multistart budget without converging."""
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ModelParams, lattice_distance, lattice_reduce, theta_table
+from .elliptic import ModelParams, lattice_distance, lattice_guard, lattice_reduce, theta_table
 from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
 from .intertwiners import WeightVector
-from .lax import _check_generic, backlund_ttilde
+from .lax import backlund_ttilde
 
 # Newton steps longer than this (per component) are rescaled; keeps trial
 # points inside a couple of lattice cells where theta stays representable
@@ -49,7 +49,7 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepState:
     """One time slice (a, lambda(a), t(a), c(a)) of a trajectory."""
 
@@ -59,7 +59,7 @@ class StepState:
     c: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Ordered Backlund steps interpreted as discrete time evolution."""
 
@@ -121,7 +121,8 @@ def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, params: Model
     """
     prod, th, dth = table
     d = lam[:, None] - mu[None, :]
-    _check_generic(np.stack((d, d + params.eta / params.n)), params, "_flow_jacobian")
+    lattice_guard(np.stack((d, d + params.eta / params.n)), params.tau,
+                  "_flow_jacobian: lambda_k - mu_s (+ eta/n)")
     with np.errstate(**_RAISE_ALL):
         zeta = dth / th
     return prod - t, prod[:, None] * (zeta[0] - zeta[1])
@@ -228,9 +229,9 @@ def step(traj: Trajectory, c_next: complex, cfg: SolverConfig = SolverConfig()) 
     guess = None
     if len(traj.steps) >= 2:
         prev = traj.steps[-2]
-        shift = [lattice_reduce(d, params.tau)[0] for d in cur.lam.lam - prev.lam.lam]
+        shift = lattice_reduce(cur.lam.lam - prev.lam.lam, params.tau)[0]
         try:
-            guess = WeightVector(cur.lam.lam + np.array(shift), params)
+            guess = WeightVector(cur.lam.lam + shift, params)
         except DegenerateWeights:
             guess = None
     nxt = solve_next(cur.lam, cur.t, cur.c, cfg, guess=guess)

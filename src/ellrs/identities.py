@@ -99,12 +99,12 @@ def _draw_cell(rng: np.random.Generator, tau: complex) -> complex:
 
 
 def draw_generic(rng: np.random.Generator, tau: complex, avoid=(), min_dist=_MIN_ZERO_DIST):
-    """Cell-uniform draw, resampled until it clears every avoid-point mod lattice."""
+    """Cell-uniform draw, resampled until it clears the lattice and every
+    avoid-point mod lattice."""
+    centers = np.array([0, *avoid], dtype=complex)
     for _ in range(_MAX_RETRIES):
         z = _draw_cell(rng, tau)
-        if lattice_distance(z, tau) < min_dist:
-            continue
-        if all(lattice_distance(z - a, tau) >= min_dist for a in avoid):
+        if lattice_distance(z - centers, tau).min() >= min_dist:
             return z
     raise RuntimeError("rejection sampling exhausted; avoid set too dense")
 
@@ -194,10 +194,7 @@ def _constrained_points(rng, tau, count):
         ys = _draw_distinct(rng, tau, count)
         xs = _draw_distinct(rng, tau, count - 1, avoid=ys)
         closing = sum(ys) - sum(xs)
-        ok = lattice_distance(closing, tau) >= _MIN_ZERO_DIST and all(
-            lattice_distance(closing - p, tau) >= _MIN_ZERO_DIST for p in ys + xs
-        )
-        if ok:
+        if lattice_distance(closing - np.array([0, *ys, *xs]), tau).min() >= _MIN_ZERO_DIST:
             return xs + [closing], ys
     raise RuntimeError("could not draw a constrained point set")
 
@@ -500,52 +497,29 @@ def check_backlund_residuals(draws: int, seed: int, params: ModelParams,
     Returns the three aggregated reports (eigenvector, kernel, lax_equation).
     """
     rng = _rng_for("backlund_residuals", seed)
-    tau = params.tau
-    worst = {"eigenvector": -1.0, "kernel": -1.0, "lax_equation": -1.0}
-    worst_params = {key: {} for key in worst}
+    records, zs, residuals = [], [], []
     for _ in range(draws):
         bstep = _draw_backlund(rng, params)
-        record = {
-            "lambda": [_cx(x) for x in bstep.source.lam.lam],
-            "mu": [_cx(x) for x in bstep.mu.lam],
-            "c": _cx(bstep.c),
-            "u": _cx(bstep.u),
-        }
-        for name, value in (
-            ("eigenvector", eigenvector_residual(bstep)),
-            ("kernel", kernel_residual(bstep)),
-        ):
-            if value > worst[name]:
-                worst[name] = value
-                worst_params[name] = record
-        z = draw_generic(rng, tau, avoid=(bstep.v + params.eta,))
-        value = lax_equation_residual(z, bstep)
-        if value > worst["lax_equation"]:
-            worst["lax_equation"] = value
-            worst_params["lax_equation"] = dict(record, z=_cx(z))
-    return tuple(
-        IdentityReport.from_sweep(name, draws, worst[name], worst_params[name], seed, tol)
-        for name in ("eigenvector", "kernel", "lax_equation")
-    )
+        z = draw_generic(rng, params.tau, avoid=(bstep.v + params.eta,))
+        records.append({"lambda": [_cx(x) for x in bstep.source.lam.lam],
+                        "mu": [_cx(x) for x in bstep.mu.lam], "c": _cx(bstep.c), "u": _cx(bstep.u)})
+        zs.append(z)
+        residuals.append((eigenvector_residual(bstep), kernel_residual(bstep),
+                          lax_equation_residual(z, bstep)))
+    residuals = np.array(residuals).reshape(draws, 3)
+    return (_report("eigenvector", residuals[:, 0], records.__getitem__, seed, tol),
+            _report("kernel", residuals[:, 1], records.__getitem__, seed, tol),
+            _report("lax_equation", residuals[:, 2], lambda d: dict(records[d], z=_cx(zs[d])),
+                    seed, tol))
 
 
 def check_ybe(draws: int, seed: int, params: ModelParams, tol: float = 1e-8) -> IdentityReport:
     """Yang-Baxter residual for the Belavin R-matrix at random (z, w)."""
     rng = _rng_for("ybe", seed)
-    tau = params.tau
-    worst, worst_params = -1.0, {}
-    done = 0
-    while done < draws:
-        z = _draw_cell(rng, tau)
-        w = _draw_cell(rng, tau)
-        try:
-            res = ybe_residual(z, w, params)
-        except PoleAtLatticePoint:
-            continue
-        if res > worst:
-            worst, worst_params = res, {"z": _cx(z), "w": _cx(w)}
-        done += 1
-    return IdentityReport.from_sweep("ybe", draws, worst, worst_params, seed, tol)
+    points = [(_draw_cell(rng, params.tau), _draw_cell(rng, params.tau)) for _ in range(draws)]
+    residuals = [ybe_residual(z, w, params) for z, w in points]
+    return _report("ybe", residuals, lambda d: {"z": _cx(points[d][0]), "w": _cx(points[d][1])},
+                   seed, tol)
 
 
 # ---------------------------------------------------------------------------

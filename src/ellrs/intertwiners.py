@@ -18,7 +18,7 @@ import numpy as np
 from .elliptic import (
     ModelParams,
     dedekind_eta,
-    lattice_distance,
+    lattice_guard,
     theta_level,
     theta_odd,
     theta_odd_pair,
@@ -31,7 +31,7 @@ _COND_LIMIT = 1e12
 _TILDE_NODES = (1e-5, 5e-6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """A weight lambda in C^n with pairwise lattice-genericity enforced."""
 
@@ -43,14 +43,8 @@ class WeightVector:
         n = self.params.n
         if lam.shape != (n,):
             raise ValueError(f"expected {n} weight components, got {lam.shape}")
-        tol = self.params.torus.reduction_tol
-        tau = self.params.tau
-        for i in range(n):
-            for j in range(i + 1, n):
-                if lattice_distance(lam[i] - lam[j], tau) < tol:
-                    raise DegenerateWeights(
-                        f"lambda_{i} - lambda_{j} = {lam[i] - lam[j]} is lattice-proximate"
-                    )
+        lattice_guard((lam[:, None] - lam)[~np.eye(n, dtype=bool)], self.params.tau,
+                      "lambda_i - lambda_j", error=DegenerateWeights)
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -71,7 +65,7 @@ class WeightVector:
         return self.lam - self.total / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwinerMatrix:
     """phi(z): entries[i, k] as in the module docstring, plus its inputs."""
 

@@ -1,6 +1,7 @@
 """Belavin R-matrix tests: entries, sparsity, Yang-Baxter equation."""
 
 import numpy as np
+import pytest
 
 from ellrs import ModelParams, r_matrix, theta_band, ybe_residual
 from ellrs.belavin import _ybe_sides
@@ -17,6 +18,28 @@ class TestRMatrix:
             theta_band(1, eta, params2) * theta_band(0, z, params2)
         )
         assert abs(r[0, 1, 1, 0] - want) < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_entry_loop(self, torus_i, n):
+        # the cancelled-form entries, one at a time with a running product
+        params = ModelParams(n, 0.23 + 0.05j, torus_i)
+        z = 0.31 + 0.07j
+        r = r_matrix(z, params).entries
+        band = [[theta_band(k, x, params) for k in range(n)]
+                for x in (z, params.eta, z + params.eta)]
+        denom0 = np.prod([theta_band(k, 0.0, params) for k in range(1, n)])
+        want = np.zeros((n, n, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                for i2 in range(n):
+                    j2 = (i + j - i2) % n
+                    num = 1.0 + 0j
+                    for k in range(n):
+                        if k != (i - j2) % n:
+                            num *= band[0][k]
+                    want[i, j, i2, j2] = (band[2][(i2 - j2) % n] * num
+                                          / (band[1][(i2 - i) % n] * denom0))
+        assert np.abs(r - want).max() <= 4e-15 * np.abs(want).max()
 
     def test_sparsity_exact(self, params3):
         r = r_matrix(0.31 + 0.07j, params3).entries

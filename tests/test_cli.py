@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -258,3 +262,14 @@ class TestDeterminism:
         assert main(["backlund", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["backlund", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize and scipy.special are imported inside the functions that
+    # use them, which keeps them out of the package's start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, ellrs, ellrs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import pytest
 
 from ellrs import (
     Characteristic,
+    DegenerateWeights,
     ModelParams,
     NonconvergentSeries,
     PoleAtLatticePoint,
@@ -26,6 +27,7 @@ from ellrs import (
     theta_table,
     zeta_log,
 )
+from ellrs.elliptic import lattice_guard
 from conftest import PI, rand_complex, theta_brute, theta_brute_deriv
 
 ODD = Characteristic(Fraction(1, 2), Fraction(1, 2))
@@ -183,13 +185,21 @@ class TestThetaOddPair:
 
     def test_lattice_distance_elementwise(self):
         rng = np.random.default_rng(8)
+        p, q = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11))
         for tau in (1j, 0.45 + 0.6j):
             z = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
             z[0, 0] = 2 - tau
             got = lattice_distance(z, tau)
             assert got.shape == z.shape and got[0, 0] < 1e-15
-            for idx in np.ndindex(z.shape):
-                assert abs(got[idx] - lattice_distance(complex(z[idx]), tau)) < 1e-14
+            # brute force: the nearest of the points p + q*tau with |p|, |q| <= 10
+            want = np.abs(z[..., None] - (p + q * tau).ravel()).min(axis=-1)
+            assert np.abs(got - want).max() < 1e-14
+            assert abs(lattice_distance(complex(z[1, 2]), tau) - want[1, 2]) < 1e-14
+
+    def test_lattice_guard_names_first_offender(self):
+        with pytest.raises(DegenerateWeights, match=r"w=\(2\+1j\) is within 1e-10"):
+            lattice_guard([0.3, 2 + 1j, 1 + 2j], 1j, "w", error=DegenerateWeights)
+        lattice_guard([0.3, 0.5j], 1j, "w")
 
 
 class TestThetaFamilies:
@@ -348,10 +358,6 @@ class TestDomainTypes:
             TorusParams(1.0 + 0j)
         with pytest.raises(ValueError):
             TorusParams(0.3 - 1j)
-
-    def test_torus_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            TorusParams(1j, reduction_tol=0.0)
 
     def test_characteristic_reduces_fractions(self):
         ch = Characteristic(Fraction(2, 4), Fraction(-3, 6))

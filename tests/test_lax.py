@@ -11,8 +11,9 @@ from ellrs import (
     NonconvergentSeries,
     PathThroughZero,
     PhaseConfig,
-    ShiftMismatch,
+    PoleAtLatticePoint,
     TorusParams,
+    Trajectory,
     WeightVector,
     backlund_C,
     backlund_t,
@@ -29,6 +30,7 @@ from ellrs import (
     phi_inverse,
     phi_matrix,
     phi_kernel,
+    r_matrix,
     s_mu,
     theta_odd,
 )
@@ -193,6 +195,18 @@ class TestBacklundCoefficients:
         assert sorted(calls) == ["backlund_C", "backlund_t", "backlund_ttilde"]
         assert np.array_equal(step.source.t, backlund_t(fixture_lam, fixture_mu, 0.1))
 
+    def test_array_records_compare_by_identity(self, params3, fixture_lam, fixture_mu):
+        # records holding arrays compare and hash by identity, not field by field
+        def build():
+            step = make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.17 + 0.05j)
+            traj = Trajectory.initial(step.mu, step.t_tilde, step.c)
+            return (WeightVector(fixture_lam.lam, params3), phi_matrix(0.3, fixture_lam),
+                    r_matrix(0.3, params3), step.source, step, traj.last, traj)
+
+        for first, second in zip(build(), build()):
+            assert first == first and first != second
+            assert hash(first) != hash(second)
+
     def test_global_shift_invariance(self, params3, fixture_lam, fixture_mu):
         # all arguments are differences, so a common shift changes nothing
         delta = 0.13 - 0.21j
@@ -212,14 +226,27 @@ class TestMandResiduals:
     def test_kernel_direct_contraction(self, fixture_step):
         lam, mu = fixture_step.source.lam, fixture_step.mu
         eta = lam.params.eta
-        mg = m_matrix(fixture_step.u, lam, mu, fixture_step.u, fixture_step.v)
+        mg = m_matrix(fixture_step.u, lam, mu, fixture_step.v)
         psi = np.array([s_mu(x + eta / 3, mu) for x in lam.lam])
         assert np.abs(mg @ psi).max() < 1e-9 * np.abs(mg).max() * np.abs(psi).max()
 
-    def test_shift_mismatch_guard(self, fixture_step):
-        lam, mu = fixture_step.source.lam, fixture_step.mu
-        with pytest.raises(ShiftMismatch):
-            m_matrix(0.3, lam, mu, fixture_step.u, fixture_step.v + 0.01)
+    @pytest.mark.parametrize("site", ["backlund_t", "backlund_ttilde", "backlund_C",
+                                      "lax_gauge", "m_matrix"])
+    def test_lattice_guard(self, site, fixture_step, params3):
+        lam, mu, v = fixture_step.source.lam, fixture_step.mu, fixture_step.v
+        # mu_0 = lambda_1 + 1 + tau puts lambda_1 - mu_0 on the lattice;
+        # z = v + eta puts the gauge matrices' z - v - eta there
+        bad_mu = WeightVector(np.concatenate(([lam.lam[1] + 1 + params3.tau], mu.lam[1:])), params3)
+        z = v + params3.eta
+        calls = {
+            "backlund_t": lambda: backlund_t(lam, bad_mu, 0.1),
+            "backlund_ttilde": lambda: backlund_ttilde(lam, bad_mu, 0.1),
+            "backlund_C": lambda: backlund_C(lam, bad_mu),
+            "lax_gauge": lambda: lax_gauge(z, fixture_step.source, v),
+            "m_matrix": lambda: m_matrix(z, lam, mu, v),
+        }
+        with pytest.raises(PoleAtLatticePoint, match=site):
+            calls[site]()
 
     def test_lax_equation_fixture(self, fixture_step):
         rng = np.random.default_rng(12)
@@ -272,7 +299,7 @@ class TestMandResiduals:
         tilde_cfg = PhaseConfig(fixture_step.mu, fixture_step.t_tilde)
         for _ in range(5):
             z = rand_complex(rng, 0.4)
-            mg = m_matrix(z, lam, fixture_step.mu, fixture_step.u, fixture_step.v)
+            mg = m_matrix(z, lam, fixture_step.mu, fixture_step.v)
             if np.linalg.cond(mg) >= 1e8:
                 continue
             pa = np.poly(lax_gauge(z, fixture_step.source, fixture_step.v))
