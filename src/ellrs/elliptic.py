@@ -109,11 +109,16 @@ def lattice_reduce(z, tau: complex):
 
 
 def lattice_distance(z, tau: complex):
-    """Distance from z to the nearest point of Z + tau*Z, elementwise."""
-    z0 = lattice_reduce(z, tau)[0]
-    # rounding per axis is not exact for skewed lattices; check neighbors
-    cells = np.array([dp + dq * tau for dp in (-1, 0, 1) for dq in (-1, 0, 1)])
-    return np.abs(z0[..., None] - cells).min(axis=-1)
+    """Distance from z to the nearest point of Z + tau*Z, elementwise and exact for any tau:
+    in the Lagrange-Gauss reduced frame Z + tau*Z = w1 * (Z + t*Z), Im t >= sqrt(3)/2, it lies
+    in a row q0 - 1, q0 or q0 + 1, q0 = rint(Im(z/w1) / Im t), at p = rint(Re(z/w1 - q*t))."""
+    w1, w2 = 1 + 0j, complex(tau)
+    while abs(w2 := w2 - round((w2 / w1).real) * w1) < abs(w1):
+        w1, w2 = w2, w1
+    t = w2 / w1 if (w2 / w1).imag > 0 else -w2 / w1
+    z = np.asarray(z, dtype=complex) / w1
+    w = z[..., None] - (np.rint(z.imag / t.imag)[..., None] + np.arange(-1, 2)) * t
+    return abs(w1) * np.abs(w - np.rint(w.real)).min(axis=-1)
 
 
 def lattice_guard(z, tau: complex, what: str, tol: float = _LATTICE_TOL,
@@ -190,13 +195,18 @@ def theta_odd_pair(z, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theta_table(x, y, offsets, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, theta') of the odd theta at x_k - y_s + delta, indexed [delta, k, s].
+    """(theta, theta') of the odd theta at x_k - y_s + delta, indexed [delta, ..., k, s].
 
-    One array evaluation over every pairwise difference of x and y and every
-    offset delta of the stack: the shape of the Backlund and flow products.
+    One array evaluation over every pairwise difference of x and y, with leading draw
+    axes broadcast, and every offset delta: the shape of the Backlund and flow products.
     """
-    d = np.asarray(x, dtype=complex)[:, None] - np.asarray(y, dtype=complex)[None, :]
-    return theta_odd_pair(d + np.asarray(offsets, dtype=complex)[:, None, None], torus)
+    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(y, dtype=complex)[..., None, :]
+    return theta_odd_pair(np.add.outer(np.asarray(offsets, dtype=complex), d), torus)
+
+
+def _drop_diagonal(values: np.ndarray) -> np.ndarray:
+    """values with the [..., i, i] entries set to 1: the excluded j = i factor of a product."""
+    return np.where(np.eye(values.shape[-1], dtype=bool), 1, values)
 
 
 # ---------------------------------------------------------------------------

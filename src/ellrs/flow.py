@@ -20,7 +20,7 @@ import numpy as np
 from .elliptic import ModelParams, lattice_distance, lattice_guard, lattice_reduce, theta_table
 from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
 from .intertwiners import WeightVector
-from .lax import backlund_ttilde
+from .lax import PhaseConfig, backlund_ttilde
 
 # Newton steps longer than this (per component) are rescaled; keeps trial
 # points inside a couple of lattice cells where theta stays representable
@@ -143,11 +143,7 @@ def solve_next(
     """
     params = lam.params
     n = params.n
-    t = np.asarray(t, dtype=complex).reshape(-1)
-    if t.shape != (n,):
-        raise ValueError(f"expected {n} Lax weights, got {t.shape}")
-    if np.any(t == 0) or not np.all(np.isfinite(t)):
-        raise ValueError("Lax weights t_k must be nonzero and finite")
+    t = PhaseConfig(lam, t).t
     base_guess = guess.lam if guess is not None else lam.lam - params.eta / n
     lam_arr = lam.lam
 

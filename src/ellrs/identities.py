@@ -24,11 +24,13 @@ from .belavin import ybe_residual
 from .elliptic import (
     ModelParams,
     TorusParams,
+    _drop_diagonal,
     dedekind_eta,
     lattice_distance,
     theta_level,
     theta_odd_deriv,
     theta_odd_pair,
+    theta_table,
 )
 from .errors import DegenerateWeights, NearSingular, PoleAtLatticePoint
 from .intertwiners import (
@@ -38,10 +40,12 @@ from .intertwiners import (
     phi_matrix,
 )
 from .lax import (
+    PhaseConfig,
+    _ks_sides,
     eigenvector_residual,
     kernel_residual,
-    ks_identity_residual,
     lax_equation_residual,
+    lax_gauge,
     make_backlund_step,
 )
 
@@ -134,13 +138,6 @@ def _draw_weights(rng, params, spread_eta=False) -> WeightVector:
 def _diffs(a, b) -> np.ndarray:
     """[..., i, j] = a_i - b_j over the last axis of stacked draws."""
     return a[..., :, None] - b[..., None, :]
-
-
-def _drop_diagonal(values: np.ndarray) -> np.ndarray:
-    """Set the [..., i, i] entries to 1: the excluded j = i factor of a product."""
-    idx = np.arange(values.shape[-1])
-    values[..., idx, idx] = 1
-    return values
 
 
 def _rel_diff(lhs, rhs):
@@ -359,8 +356,7 @@ def check_commute(draws: int, seed: int, params: ModelParams,
         sums.append((qb @ qf).T)  # [k, k'] = sum_i qb[k', i] qf[i, k]
     lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
     # [delta, d, a, b] = theta(lam_a - lam_b + delta), delta = 0, eta/n
-    d = _diffs(lam, lam)
-    th = theta_odd_pair(np.stack((d, d + eta / n)), params.torus)[0]
+    th = theta_table(lam, lam, (0, eta / n), params.torus)[0]
     own = _drop_diagonal(th[0])
     # pref[d, k, k'] = prod_{m != k'} own[k', m] / prod_{m != k} own[m, k]
     #                  * prod_l th1[l, k'] / prod_l th1[k, l]
@@ -418,15 +414,9 @@ def check_conjugation(draws: int, seed: int, params: ModelParams,
         lhs.append(pb @ pe)  # [k, k']
     lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
     z = np.array(zs, dtype=complex)
-    zn = z[:, None, None] + eta / n
-    d = _diffs(lam, lam)  # [d, j, k] = lam_j - lam_k
-    th = theta_odd_pair(np.stack((d, d + eta / n, d + zn)), params.torus)[0]
-    tz = theta_odd_pair(z, params.torus)[0][:, None, None]
-    # [d, k, j, k'] = theta(lam_jk' + eta/n), with the j = k factor set to 1
-    shifted = np.where(np.eye(n, dtype=bool)[:, :, None], 1, th[1][:, None, :, :])
-    rhs = (th[2] / tz * np.prod(shifted, axis=2)
-           / np.prod(_drop_diagonal(th[0]), axis=1)[:, :, None])
-    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n), rhs)
+    # the right side is the gauge-frame L, transposed, at z + eta with v = 0 and unit weights
+    rhs = lax_gauge(z + eta, PhaseConfig(WeightVector(lam, params), np.ones((draws, n))), 0)
+    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n), rhs.swapaxes(-1, -2))
     return _report("conjugation", residuals, lambda d, k, kp: {
         "lambda": [_cx(x) for x in lam[d]], "z": _cx(z[d]), "k": k, "kprime": kp,
     }, seed, tol)
@@ -447,46 +437,39 @@ def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> I
         z = n * xi + sum(xs) - sum(ys)
         if lattice_distance(z, tau) < _MIN_ZERO_DIST:
             continue
-        rows.append((xs, ys, xi, kp, z))
-    raw = np.array([ks_identity_residual(xs, ys, xi, kp, params) for xs, ys, xi, kp, _ in rows])
-    # scale: |theta(z)| prod_s |theta(x_k' - y_s)|
-    args = np.array([[z] + [xs[kp] - y for y in ys] for xs, ys, _, kp, z in rows],
-                    dtype=complex).reshape(draws, n + 1)
-    scale = np.prod(np.abs(theta_odd_pair(args, params.torus)[0]), axis=1)
-    return _report("ks_identity", raw / (scale + 1e-300), lambda d: {
+        rows.append((xs, ys, xi, kp))
+    xs, ys = (np.array([r[c] for r in rows], dtype=complex).reshape(draws, n) for c in (0, 1))
+    lhs, rhs = _ks_sides(xs, ys, np.array([r[2] for r in rows], dtype=complex),
+                         np.array([r[3] for r in rows], dtype=int), params.torus)
+    # relative to |rhs| = |theta(z)| prod_s |theta(x_k' - y_s)|
+    return _report("ks_identity", np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300), lambda d: {
         "x": [_cx(x) for x in rows[d][0]], "y": [_cx(y) for y in rows[d][1]],
         "xi": _cx(rows[d][2]), "kprime": rows[d][3],
     }, seed, tol)
 
 
 def _draw_backlund(rng, params):
-    """Random consistent Backlund step with bounded condition numbers.
+    """Free data (lambda, mu, c, u) of a random Backlund step with bounded condition numbers.
 
-    Every theta argument that ends up in a denominator (lambda_k - mu_s,
-    mu_mk +- eta/n, lambda pairwise, u - v - eta) is kept a fixed distance
-    from the lattice by the avoid sets.
-    """
+    Every theta argument that ends up in a denominator (lambda_k - mu_s, mu_mk +- eta/n,
+    lambda pairwise, u - v - eta) is kept _MIN_ZERO_DIST from the lattice by the avoid sets,
+    far outside the guards of the step formulas."""
     tau = params.tau
     offs = params.eta / params.n
     for _ in range(_MAX_RETRIES):
-        try:
-            lam = _draw_weights(rng, params, spread_eta=True)
-            mus: list[complex] = []
-            for _ in range(params.n):
-                avoid = (
-                    list(lam.lam) + [l + offs for l in lam.lam]
-                    + mus + [m + offs for m in mus] + [m - offs for m in mus]
-                )
-                mus.append(draw_generic(rng, tau, avoid=avoid))
-            mu = WeightVector(np.array(mus), params)
-            c = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            u = _draw_cell(rng, tau)
-            # the gauge matrices divide by theta(u - v - eta)
-            if lattice_distance(-(lam.total - mu.total) - params.eta, tau) < _MIN_ZERO_DIST:
-                continue
-            return make_backlund_step(lam, mu, c, u)
-        except (PoleAtLatticePoint, DegenerateWeights, NearSingular):
-            continue
+        lam = _draw_weights(rng, params, spread_eta=True).lam
+        mus: list[complex] = []
+        for _ in range(params.n):
+            avoid = (list(lam) + [l + offs for l in lam]
+                     + mus + [m + offs for m in mus] + [m - offs for m in mus])
+            mus.append(draw_generic(rng, tau, avoid=avoid))
+        mu = np.array(mus)
+        c = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        u = _draw_cell(rng, tau)
+        # the gauge matrices divide by theta(u - v - eta)
+        if lattice_distance(-(np.add.reduce(lam) - np.add.reduce(mu)) - params.eta,
+                            tau) >= _MIN_ZERO_DIST:
+            return lam, mu, c, u
     raise RuntimeError("could not draw a generic Backlund step")
 
 
@@ -497,16 +480,19 @@ def check_backlund_residuals(draws: int, seed: int, params: ModelParams,
     Returns the three aggregated reports (eigenvector, kernel, lax_equation).
     """
     rng = _rng_for("backlund_residuals", seed)
-    records, zs, residuals = [], [], []
+    rows, zs = [], []
     for _ in range(draws):
-        bstep = _draw_backlund(rng, params)
-        z = draw_generic(rng, params.tau, avoid=(bstep.v + params.eta,))
-        records.append({"lambda": [_cx(x) for x in bstep.source.lam.lam],
-                        "mu": [_cx(x) for x in bstep.mu.lam], "c": _cx(bstep.c), "u": _cx(bstep.u)})
-        zs.append(z)
-        residuals.append((eigenvector_residual(bstep), kernel_residual(bstep),
-                          lax_equation_residual(z, bstep)))
-    residuals = np.array(residuals).reshape(draws, 3)
+        rows.append(_draw_backlund(rng, params))
+        lam, mu, _, u = rows[-1]
+        v = u + np.add.reduce(lam) - np.add.reduce(mu)  # the zero shift of the step
+        zs.append(draw_generic(rng, params.tau, avoid=(v + params.eta,)))
+    lam, mu, c, u = (np.array([r[i] for r in rows], dtype=complex) for i in range(4))
+    lam, mu = (WeightVector(w.reshape(draws, params.n), params) for w in (lam, mu))
+    step = make_backlund_step(lam, mu, c, u)
+    residuals = np.stack((eigenvector_residual(step), kernel_residual(step),
+                          lax_equation_residual(np.array(zs, dtype=complex), step)), axis=-1)
+    records = [{"lambda": [_cx(x) for x in lam.lam[d]], "mu": [_cx(x) for x in mu.lam[d]],
+                "c": _cx(c[d]), "u": _cx(u[d])} for d in range(draws)]
     return (_report("eigenvector", residuals[:, 0], records.__getitem__, seed, tol),
             _report("kernel", residuals[:, 1], records.__getitem__, seed, tol),
             _report("lax_equation", residuals[:, 2], lambda d: dict(records[d], z=_cx(zs[d])),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .elliptic import (
     ModelParams,
+    _scalar,
     dedekind_eta,
     lattice_guard,
     theta_level,
@@ -33,18 +34,18 @@ _TILDE_NODES = (1e-5, 5e-6)
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A weight lambda in C^n with pairwise lattice-genericity enforced."""
+    """A weight lambda in C^n, or a stack [..., n] of them, with lattice-genericity enforced."""
 
     lam: np.ndarray
     params: ModelParams
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=complex).reshape(-1)
+        lam = np.array(self.lam, dtype=complex, ndmin=1)
         n = self.params.n
-        if lam.shape != (n,):
+        if lam.shape[-1] != n:
             raise ValueError(f"expected {n} weight components, got {lam.shape}")
-        lattice_guard((lam[:, None] - lam)[~np.eye(n, dtype=bool)], self.params.tau,
-                      "lambda_i - lambda_j", error=DegenerateWeights)
+        lattice_guard((lam[..., :, None] - lam[..., None, :])[..., ~np.eye(n, dtype=bool)],
+                      self.params.tau, "lambda_i - lambda_j", error=DegenerateWeights)
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -53,9 +54,9 @@ class WeightVector:
         return self.params.n
 
     @property
-    def total(self) -> complex:
-        """Lambda = sum_j lambda_j."""
-        return complex(np.add.reduce(self.lam))
+    def total(self):
+        """Lambda = sum_j lambda_j, one per draw for a stack."""
+        return _scalar(np.add.reduce(self.lam, axis=-1))
 
     def pairing(self, k: int) -> complex:
         """<lambda, ebar_k> = lambda_k - Lambda/n (k is 0-based)."""

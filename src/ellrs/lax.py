@@ -19,13 +19,16 @@ Conventions, fixed once for the whole package:
 
 * All residual checks that involve the modification kernel s_mu are taken at
   the modification point z = u; the Lax equation itself holds for every z.
+
+* Every formula and residual below also takes a stack of steps: weights [..., n]
+  with leading draw axes, and c, u, z broadcast against them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +36,9 @@ from .elliptic import (
     _EXP_LIMIT,
     _SERIES_EPS,
     ModelParams,
+    _drop_diagonal,
+    _scalar,
     lattice_guard,
-    theta_odd,
     theta_odd_pair,
     theta_table,
 )
@@ -55,14 +59,14 @@ _MAX_Q_TERMS = 4096
 
 @dataclass(frozen=True, eq=False)
 class PhaseConfig:
-    """One point (lambda, t) of the RS phase space."""
+    """One point (lambda, t) of the RS phase space, or a stack of them."""
 
     lam: WeightVector
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=complex).reshape(-1)
-        if t.shape != (self.lam.n,):
+        t = np.asarray(self.t, dtype=complex).reshape(self.lam.lam.shape[:-1] + (-1,))
+        if t.shape != self.lam.lam.shape:
             raise ValueError(f"expected {self.lam.n} Lax weights, got {t.shape}")
         if np.any(t == 0) or not np.all(np.isfinite(t)):
             raise ValueError("Lax weights t_k must be nonzero and finite")
@@ -86,12 +90,22 @@ class BacklundStep:
     v: complex = field(init=False)
 
     def __post_init__(self, lam: WeightVector):
-        mu, c, u = self.mu, complex(self.c), complex(self.u)
+        mu = self.mu
+        c, u = (_scalar(np.asarray(x, dtype=complex)) for x in (self.c, self.u))
         derived = dict(c=c, u=u, source=PhaseConfig(lam, backlund_t(lam, mu, c)),
                        t_tilde=backlund_ttilde(lam, mu, c), C=backlund_C(lam, mu),
                        v=u + lam.total - mu.total)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The z-independent factors of the residuals, evaluated once per step: psi_k =
+        s_mu(lambda_k + eta/n) (eigenvector of L(u), kernel of M(u)) and the frames of L, L~, M."""
+        lam, mu = self.source.lam, self.mu
+        psi = s_mu(np.moveaxis(lam.lam + lam.params.eta / lam.n, -1, 0), mu)
+        return (np.moveaxis(psi, 0, -1), _gauge_frame(lam, lam.lam, self.source.t),
+                _gauge_frame(mu, mu.lam, self.t_tilde), _gauge_frame(lam, mu.lam, self.C))
 
 
 def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> BacklundStep:
@@ -104,16 +118,17 @@ def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: compl
 # ---------------------------------------------------------------------------
 
 def _coupling_table(lam: WeightVector, mu: WeightVector, what: str) -> np.ndarray:
-    """theta(lambda_k - mu_s + delta) for delta = 0, eta/n, indexed [delta, k, s]."""
+    """theta(lambda_k - mu_s + delta) for delta = 0, eta/n, indexed [delta, ..., k, s]."""
     params = lam.params
-    lattice_guard(lam.lam[:, None] - mu.lam[None, :], params.tau, f"{what}: lambda_k - mu_s")
+    lattice_guard(lam.lam[..., :, None] - mu.lam[..., None, :], params.tau,
+                  f"{what}: lambda_k - mu_s")
     return theta_table(lam.lam, mu.lam, (0, params.eta / params.n), params.torus)[0]
 
 
 def backlund_t(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
     """t_k = e^c * prod_s theta(lambda_k - mu_s + eta/n) / theta(lambda_k - mu_s)."""
     th = _coupling_table(lam, mu, "backlund_t")
-    return cmath.exp(c) * np.prod(th[1] / th[0], axis=1)
+    return np.exp(c)[..., None] * np.prod(th[1] / th[0], axis=-1)
 
 
 def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
@@ -123,12 +138,11 @@ def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarr
     n, h = params.n, params.eta / params.n
     th = _coupling_table(lam, mu, "backlund_ttilde")
     off = ~np.eye(n, dtype=bool)
-    lattice_guard((mu.lam[:, None] - mu.lam[None, :] + h)[off], params.tau,
+    lattice_guard((mu.lam[..., :, None] - mu.lam[..., None, :] + h)[..., off], params.tau,
                   "backlund_ttilde: mu_k - mu_m + eta/n")
     mm = theta_table(mu.lam, mu.lam, (-h, h), params.torus)[0]
-    ratio = mm[0] / mm[1]
-    np.fill_diagonal(ratio, 1)  # the m = k factor is not part of the product
-    return cmath.exp(c) * np.prod(ratio, axis=0) * np.prod(th[1] / th[0], axis=0)
+    ratio = _drop_diagonal(mm[0] / mm[1])  # the m = k factor is not part of the product
+    return np.exp(c)[..., None] * np.prod(ratio, axis=-2) * np.prod(th[1] / th[0], axis=-2)
 
 
 def backlund_C(lam: WeightVector, mu: WeightVector) -> np.ndarray:
@@ -136,7 +150,7 @@ def backlund_C(lam: WeightVector, mu: WeightVector) -> np.ndarray:
     params = lam.params
     th = _coupling_table(lam, mu, "backlund_C")
     mm = theta_table(mu.lam, mu.lam, (-params.eta / params.n,), params.torus)[0][0]
-    return np.prod(mm, axis=0) / np.prod(th[0], axis=0)
+    return np.prod(mm, axis=-2) / np.prod(th[0], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +166,36 @@ def lax_classical(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     return pb.T @ np.diag(cfg.t) @ p0.T
 
 
-def _gauge_matrix(z: complex, v: complex, lam: WeightVector, rows: np.ndarray,
-                  weights: np.ndarray, what: str) -> np.ndarray:
-    """[k', k] = Phi_{z-v-eta}(lam_k - rows_k' + eta/n)
-    * prod_l theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
-    with the l = k factor cancelled against the Phi denominator."""
+def _gauge_frame(lam: WeightVector, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The z-independent part of a gauge matrix, [..., k', k]:
+    prod_{l != k} theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k'."""
     params = lam.params
-    n, eta, torus = params.n, params.eta, params.torus
-    big_z = z - v - eta
+    # [..., l, k'] = theta(lam_l - rows_k' + eta/n); [..., l, k] = theta(lam_l - lam_k)
+    num = theta_table(lam.lam, rows, (params.eta / params.n,), params.torus)[0][0]
+    den = _drop_diagonal(theta_table(lam.lam, lam.lam, (0,), params.torus)[0][0])
+    own = np.prod(num, axis=-2)[..., :, None] / num.swapaxes(-1, -2)
+    return own / np.prod(den, axis=-2)[..., None, :] * weights[..., :, None]
+
+
+def _gauge_matrix(z, v, lam: WeightVector, rows: np.ndarray, frame: np.ndarray,
+                  what: str) -> np.ndarray:
+    """[..., k', k] = Phi_{z-v-eta}(lam_k - rows_k' + eta/n)
+    * prod_l theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
+    with the l = k factor cancelled against the Phi denominator and the rest in frame."""
+    params = lam.params
+    big_z = np.asarray(z - v - params.eta)
     lattice_guard(big_z, params.tau, f"{what}: z - v - eta")
-    h = eta / n
-    # [l, k'] = theta(lam_l - rows_k' + eta/n) and [k, k'] = the same shifted by z-v-eta
-    num = theta_table(lam.lam, rows, (h,), torus)[0][0]
-    shifted = theta_table(big_z + lam.lam, rows, (h,), torus)[0][0]
-    # [l, k] = theta(lam_l - lam_k); the diagonal is the excluded l = k factor
-    den = theta_table(lam.lam, lam.lam, (0,), torus)[0][0]
-    np.fill_diagonal(den, 1)
-    out = shifted.T / theta_odd(big_z, torus) * (np.prod(num, axis=0)[:, None] / num.T)
-    return out / np.prod(den, axis=0)[None, :] * weights[:, None]
+    # [..., k, k'] = theta(z - v - eta + lam_k - rows_k' + eta/n)
+    shifted = theta_table(big_z[..., None] + lam.lam, rows, (params.eta / params.n,),
+                          params.torus)[0][0]
+    theta_z = theta_odd_pair(big_z, params.torus)[0][..., None, None]
+    return shifted.swapaxes(-1, -2) / theta_z * frame
 
 
 def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     """Gauge-frame L_{k',k}(z) as a matrix [k', k]; rows carry t_{k'}."""
-    return _gauge_matrix(z, v, cfg.lam, cfg.lam.lam, cfg.t, "lax_gauge")
+    lam = cfg.lam
+    return _gauge_matrix(z, v, lam, lam.lam, _gauge_frame(lam, lam.lam, cfg.t), "lax_gauge")
 
 
 def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.ndarray:
@@ -182,7 +203,8 @@ def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.
     * prod_l theta(lam_l - mu_k' + eta/n) / prod_{l != k} theta(lam_lk) * C_k',
     with v the zero shift u + sum(lambda - mu) of the step (BacklundStep.v).
     """
-    return _gauge_matrix(z, v, lam, mu.lam, backlund_C(lam, mu), "m_matrix")
+    return _gauge_matrix(z, v, lam, mu.lam, _gauge_frame(lam, mu.lam, backlund_C(lam, mu)),
+                         "m_matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +212,30 @@ def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.
 # ---------------------------------------------------------------------------
 
 def s_mu(x, mu: WeightVector):
-    """Kernel section s_mu(x) = prod_l theta(x - mu_l), elementwise over an array x."""
+    """Kernel section s_mu(x) = prod_l theta(x - mu_l), elementwise over an array x;
+    the draw axes of a stack mu broadcast against the trailing axes of x."""
     d = np.asarray(x, dtype=complex)[..., None] - mu.lam
-    val = np.prod(theta_odd_pair(d, mu.params.torus)[0], axis=-1)
-    return complex(val) if val.ndim == 0 else val
+    return _scalar(np.prod(theta_odd_pair(d, mu.params.torus)[0], axis=-1))
 
 
-def lax_equation_residual(z: complex, step: BacklundStep) -> float:
+def lax_equation_residual(z, step: BacklundStep) -> float:
     """Max-norm of M(z) L(z) - L~(z) M(z) in the gauge frame, relative."""
-    lam = step.source.lam
-    lg = lax_gauge(z, step.source, step.v)
-    ltg = lax_gauge(z, PhaseConfig(step.mu, step.t_tilde), step.v)
-    mg = m_matrix(z, lam, step.mu, step.v)
+    lam, mu, v = step.source.lam, step.mu, step.v
+    _, frame_l, frame_lt, frame_m = step._tables
+    lg = _gauge_matrix(z, v, lam, lam.lam, frame_l, "lax_gauge")
+    ltg = _gauge_matrix(z, v, mu, mu.lam, frame_lt, "lax_gauge")
+    mg = _gauge_matrix(z, v, lam, mu.lam, frame_m, "m_matrix")
     lhs = mg @ lg
-    return float(np.abs(lhs - ltg @ mg).max() / np.abs(lhs).max())
+    return np.abs(lhs - ltg @ mg).max(axis=(-2, -1)) / np.abs(lhs).max(axis=(-2, -1))
 
 
 def eigenvector_residual(step: BacklundStep) -> float:
     """Residual of sum_k L(u)_{k',k} s_mu(lam_k + eta/n) = e^c s_mu(lam_k' + eta/n)."""
     lam = step.source.lam
-    psi = s_mu(lam.lam + lam.params.eta / lam.n, step.mu)
-    lg = lax_gauge(step.u, step.source, step.v)
-    rhs = cmath.exp(step.c) * psi
-    return float(np.abs(lg @ psi - rhs).max() / np.abs(rhs).max())
+    psi, frame_l, _, _ = step._tables
+    lg = _gauge_matrix(step.u, step.v, lam, lam.lam, frame_l, "lax_gauge")
+    rhs = np.exp(step.c)[..., None] * psi
+    return np.abs((lg @ psi[..., None])[..., 0] - rhs).max(axis=-1) / np.abs(rhs).max(axis=-1)
 
 
 def kernel_residual(step: BacklundStep) -> float:
@@ -222,51 +245,51 @@ def kernel_residual(step: BacklundStep) -> float:
     so the n = 1 collapse (where that single factor itself vanishes and the
     1x1 matrix M(u) is identically zero) stays a meaningful check.
     """
-    lam = step.source.lam
-    params = lam.params
-    psi = s_mu(lam.lam + params.eta / params.n, step.mu)
-    mg = m_matrix(step.u, lam, step.mu, step.v)
-    big_z = step.u - step.v - params.eta
-    # [k', k] = theta(big_z + lam_k - mu_k' + eta/n)
-    factors = theta_table(big_z + lam.lam, step.mu.lam, (params.eta / params.n,),
-                          params.torus)[0][0].T
-    theta_scale = max(1.0, float(np.abs(factors).max()))
+    lam, mu, params = step.source.lam, step.mu, step.mu.params
+    psi, _, _, frame_m = step._tables
+    mg = _gauge_matrix(step.u, step.v, lam, mu.lam, frame_m, "m_matrix")
+    big_z = np.asarray(step.u - step.v - params.eta)
+    # [..., k', k] = theta(big_z + lam_k - mu_k' + eta/n)
+    factors = theta_table(big_z[..., None] + lam.lam, mu.lam, (params.eta / params.n,),
+                          params.torus)[0][0].swapaxes(-1, -2)
+    theta_scale = np.maximum(1.0, np.abs(factors).max(axis=(-2, -1)))
     safe = np.where(np.abs(factors) < 1e-150, 1.0, factors)
-    stripped = np.abs(mg / safe) * np.abs(psi)[None, :]
-    scale = float(stripped.sum(axis=1).max()) * theta_scale
-    return float(np.abs(mg @ psi).max() / (scale + 1e-300))
+    stripped = np.abs(mg / safe) * np.abs(psi)[..., None, :]
+    scale = stripped.sum(axis=-1).max(axis=-1) * theta_scale
+    return np.abs((mg @ psi[..., None])[..., 0]).max(axis=-1) / (scale + 1e-300)
 
 
-def _ks_sides(xs: np.ndarray, ys: np.ndarray, xi: complex, kprime: int,
-              torus) -> tuple[complex, complex]:
-    """Both sides of the closing theta identity of ks_identity_residual."""
-    n = xs.size
-    z = n * xi + np.add.reduce(xs - ys)
-    # [delta, k, s] = theta(x_k - y_s + delta) and theta(x_k - x_l + delta)
-    xy = theta_table(xs, ys, (xi, 0), torus)[0]
-    xx = theta_table(xs, xs, (0, -xi, z - xi), torus)[0]
-    # [k, l] = theta(x_k'l - xi) / theta(x_kl); the l = k factor is not part of the product
-    den = xx[0]
-    np.fill_diagonal(den, 1)
-    ratio = xx[1][kprime] / den
-    np.fill_diagonal(ratio, 1)
-    lhs = np.sum(xx[2][kprime] * np.prod(xy[0], axis=1) * np.prod(ratio, axis=1))
-    return complex(lhs), theta_odd(z, torus) * complex(np.prod(xy[1][kprime]))
+def _ks_sides(xs: np.ndarray, ys: np.ndarray, xi, kprime, torus):
+    """Both sides of the closing theta identity of ks_identity_residual, over
+    leading draw axes: xs, ys [..., n], and xi and kprime [...] with the draw axes of xs."""
+    xi = np.asarray(xi, dtype=complex)[..., None]
+    z = xs.shape[-1] * xi + np.add.reduce(xs - ys, axis=-1, keepdims=True)
+    xk = np.take_along_axis(xs, np.asarray(kprime)[..., None], axis=-1)  # [..., 1] = x_k'
+    # [..., k, s] = theta(x_k - y_s + xi); [..., k, l] = theta(x_kl), the l = k factor excluded
+    xy = theta_odd_pair(xs[..., :, None] - ys[..., None, :] + xi[..., None], torus)[0]
+    den = _drop_diagonal(theta_table(xs, xs, (0,), torus)[0][0])
+    # [0, ..., l] = theta(x_k'l - xi) and [1, ..., k] = theta(z + x_k'k - xi)
+    d = xk - xs
+    row = theta_odd_pair(np.stack((d - xi, d + (z - xi))), torus)[0]
+    ratio = _drop_diagonal(row[0][..., None, :] / den)
+    lhs = np.sum(row[1] * np.prod(xy, axis=-1) * np.prod(ratio, axis=-1), axis=-1)
+    th = theta_odd_pair(np.concatenate((z, xk - ys), axis=-1), torus)[0]  # z, x_k' - y_s
+    return lhs, th[..., 0] * np.prod(th[..., 1:], axis=-1)
 
 
-def ks_identity_residual(xvec, yvec, xi: complex, kprime: int, params: ModelParams) -> float:
+def ks_identity_residual(xvec, yvec, xi, kprime, params: ModelParams) -> float:
     """Residual of the closing theta identity
 
     sum_k theta(z + x_k'k - xi) prod_s theta(x_k - y_s + xi)
           prod_{l != k} theta(x_k'l - xi)/theta(x_kl)
-        = theta(z) prod_s theta(x_k' - y_s),   z = n*xi + sum_k (x_k - y_k).
-    """
-    xs = np.asarray(xvec, dtype=complex).reshape(-1)
-    ys = np.asarray(yvec, dtype=complex).reshape(-1)
-    if ys.size != xs.size:
+        = theta(z) prod_s theta(x_k' - y_s),   z = n*xi + sum_k (x_k - y_k),
+
+    one per draw for stacked xvec, yvec [..., n] with xi and kprime [...]."""
+    xs, ys = (np.asarray(v, dtype=complex) for v in (xvec, yvec))
+    if ys.shape[-1:] != xs.shape[-1:]:
         raise ValueError("xvec and yvec must have the same length")
     lhs, rhs = _ks_sides(xs, ys, xi, kprime, params.torus)
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from ellrs import (
     theta_table,
     zeta_log,
 )
-from ellrs.elliptic import lattice_guard
+from ellrs.elliptic import lattice_guard, lattice_reduce
 from conftest import PI, rand_complex, theta_brute, theta_brute_deriv
 
 ODD = Characteristic(Fraction(1, 2), Fraction(1, 2))
@@ -195,6 +195,25 @@ class TestThetaOddPair:
             want = np.abs(z[..., None] - (p + q * tau).ravel()).min(axis=-1)
             assert np.abs(got - want).max() < 1e-14
             assert abs(lattice_distance(complex(z[1, 2]), tau) - want[1, 2]) < 1e-14
+
+    @pytest.mark.parametrize("tau", [2.5 + 0.3j, -3.2 + 0.8j, 0.4 + 0.05j])
+    def test_lattice_distance_exact_for_skewed_tau(self, tau):
+        # a 3x3 neighbour check overstates up to 41 % of these distances, by up to 0.36
+        rng = np.random.default_rng(9)
+        z = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+        p = np.arange(-90, 91)
+        want = np.full(z.shape, np.inf)
+        for q in range(-90, 91):
+            want = np.minimum(want, np.abs(z[:, None] - q * tau - p).min(axis=1))
+        assert np.abs(lattice_distance(z, tau) - want).max() <= 1e-14
+
+    def test_lattice_distance_unchanged_at_square_tau(self):
+        # at tau = i the rows |q| <= 1 give the 3x3 neighbour check bit for bit
+        rng = np.random.default_rng(10)
+        z = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+        z0 = lattice_reduce(z, 1j)[0]
+        cells = np.array([dp + dq * 1j for dp in (-1, 0, 1) for dq in (-1, 0, 1)])
+        assert np.array_equal(lattice_distance(z, 1j), np.abs(z0[:, None] - cells).min(axis=1))
 
     def test_lattice_guard_names_first_offender(self):
         with pytest.raises(DegenerateWeights, match=r"w=\(2\+1j\) is within 1e-10"):

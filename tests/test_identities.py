@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from ellrs import ModelParams, SuiteConfig, TorusParams, run_all, theta_odd
+import ellrs.elliptic as elliptic
+from ellrs import (ModelParams, PhaseConfig, SuiteConfig, TorusParams, WeightVector, lax_gauge,
+                   m_matrix, make_backlund_step, run_all, theta_odd)
 from ellrs.identities import (
+    _draw_backlund,
     _lemma_weights,
+    _rng_for,
     check_backlund_residuals,
     check_commute,
     check_conjugation,
@@ -18,6 +22,7 @@ from ellrs.identities import (
     check_lemma,
     check_null_sum,
     check_ybe,
+    draw_generic,
 )
 from ellrs.lax import _ks_sides
 from conftest import rand_complex
@@ -138,6 +143,55 @@ def ks_sides_loop(xs, ys, xi, kprime, torus):
     return lhs, rhs
 
 
+def theta_ratio_prod(num_args, den_args, torus):
+    """prod theta(num) / prod theta(den), one scalar theta call per factor."""
+    out = 1.0 + 0j
+    for a in num_args:
+        out *= theta_odd(a, torus)
+    for a in den_args:
+        out /= theta_odd(a, torus)
+    return out
+
+
+def gauge_loop(z, v, lam, rows, weights, eta, torus):
+    """[k', k] = theta(Z + lam_k - rows_k' + h) / theta(Z)
+    * prod_{l != k} theta(lam_l - rows_k' + h) / theta(lam_l - lam_k) * weights_k',
+    with Z = z - v - eta and h = eta/n, one scalar theta call per factor."""
+    n = len(lam)
+    big_z, h = z - v - eta, eta / n
+    out = np.empty((n, n), dtype=complex)
+    for kp in range(n):
+        for k in range(n):
+            others = [l for l in range(n) if l != k]
+            out[kp, k] = weights[kp] * theta_ratio_prod(
+                [big_z + lam[k] - rows[kp] + h] + [lam[l] - rows[kp] + h for l in others],
+                [big_z] + [lam[l] - lam[k] for l in others], torus)
+    return out
+
+
+def backlund_loop(lam, mu, c, u, z, eta, torus):
+    """t, t~, C, psi, L(u), L(z), L~(z), M(u), M(z) of one Backlund step,
+    one scalar theta call per factor."""
+    n = len(lam)
+    h = eta / n
+    t = [np.exp(c) * theta_ratio_prod([lam[k] - m + h for m in mu], [lam[k] - m for m in mu], torus)
+         for k in range(n)]
+    tt = [np.exp(c) * theta_ratio_prod(
+        [mu[m] - mu[k] - h for m in range(n) if m != k] + [l - mu[k] + h for l in lam],
+        [mu[m] - mu[k] + h for m in range(n) if m != k] + [l - mu[k] for l in lam], torus)
+        for k in range(n)]
+    C = [theta_ratio_prod([m - mu[k] - h for m in mu], [l - mu[k] for l in lam], torus)
+         for k in range(n)]
+    psi = [theta_ratio_prod([lam[k] + h - m for m in mu], [], torus) for k in range(n)]
+    v = u + sum(lam) - sum(mu)
+    return dict(t=t, t_tilde=tt, C=C, psi=psi,
+                L_u=gauge_loop(u, v, lam, lam, t, eta, torus),
+                L_z=gauge_loop(z, v, lam, lam, t, eta, torus),
+                Lt_z=gauge_loop(z, v, mu, mu, tt, eta, torus),
+                M_u=gauge_loop(u, v, lam, mu, C, eta, torus),
+                M_z=gauge_loop(z, v, lam, mu, C, eta, torus))
+
+
 class TestBatchedSides:
     """The batched theta products against scalar-loop oracles."""
 
@@ -169,6 +223,72 @@ class TestBatchedSides:
                 want_l, want_r = ks_sides_loop(xs, ys, xi, kp, torus)
                 assert abs(lhs - want_l) <= 1e-12 * abs(want_l)
                 assert abs(rhs - want_r) <= 1e-12 * abs(want_r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_backlund_batch_matches_loop(self, n, tau):
+        # the stacked step against one scalar-theta loop per draw
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        rng = _rng_for("batch_oracle", n)
+        rows = [_draw_backlund(rng, params) for _ in range(6)]
+        lam, mu, c, u = (np.array([r[i] for r in rows], dtype=complex) for i in range(4))
+        lam, mu = (WeightVector(w.reshape(6, n), params) for w in (lam, mu))
+        step = make_backlund_step(lam, mu, c, u)
+        z = np.array([draw_generic(rng, tau, avoid=(v + params.eta,)) for v in step.v])
+        got = dict(t=step.source.t, t_tilde=step.t_tilde, C=step.C, psi=step._tables[0],
+                   L_u=lax_gauge(u, step.source, step.v), L_z=lax_gauge(z, step.source, step.v),
+                   Lt_z=lax_gauge(z, PhaseConfig(mu, step.t_tilde), step.v),
+                   M_u=m_matrix(u, lam, mu, step.v), M_z=m_matrix(z, lam, mu, step.v))
+        for d in range(6):
+            want = backlund_loop(lam.lam[d], mu.lam[d], c[d], u[d], z[d], params.eta, params.torus)
+            for key, value in want.items():
+                value = np.asarray(value)
+                err = np.abs(got[key][d] - value).max() / np.abs(value).max()
+                assert err <= 1e-13, (key, d, err)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_ks_batch_matches_loop(self, n, tau):
+        rng = np.random.default_rng(50 + n)
+        torus = TorusParams(tau)
+        xs = rng.uniform(-0.5, 0.5, (8, n)) + 1j * rng.uniform(-0.5, 0.5, (8, n))
+        ys = rng.uniform(-0.5, 0.5, (8, n)) + 1j * rng.uniform(-0.5, 0.5, (8, n))
+        xi = rng.uniform(-0.3, 0.3, 8) + 1j * rng.uniform(-0.3, 0.3, 8)
+        kp = rng.integers(n, size=8)
+        lhs, rhs = _ks_sides(xs, ys, xi, kp, torus)
+        for d in range(8):
+            want_l, want_r = ks_sides_loop(xs[d], ys[d], xi[d], kp[d], torus)
+            assert abs(lhs[d] - want_l) <= 1e-13 * abs(want_l)
+            assert abs(rhs[d] - want_r) <= 1e-13 * abs(want_r)
+
+
+class TestKernelCalls:
+    """Kernel calls of the batched sweeps, counted by wrapping the one theta series."""
+
+    @staticmethod
+    def count_calls(monkeypatch, run):
+        calls = []
+        series = elliptic._theta_pair
+
+        def counted(a, b, z, tau):
+            calls.append(np.broadcast(np.asarray(a), np.asarray(z)).size)
+            return series(a, b, z, tau)
+
+        monkeypatch.setattr(elliptic, "_theta_pair", counted)
+        run()
+        monkeypatch.setattr(elliptic, "_theta_pair", series)
+        return calls
+
+    @pytest.mark.parametrize("check", [check_backlund_residuals, check_ks])
+    def test_call_count_does_not_depend_on_draws(self, check, params3, monkeypatch):
+        few = self.count_calls(monkeypatch, lambda: check(5, 42, params3))
+        many = self.count_calls(monkeypatch, lambda: check(25, 42, params3))
+        assert len(few) == len(many) <= 30
+
+    def test_no_call_exceeds_2000_elements(self, monkeypatch, torus_i):
+        params = ModelParams(4, 0.23, torus_i)
+        sizes = self.count_calls(monkeypatch, lambda: run_all(SuiteConfig(params=params, seed=42)))
+        assert max(sizes) <= 2000
 
 
 class TestRunAll:
