@@ -306,9 +306,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     for a in range(cfg.steps):
         try:
             traj = step(traj, _schedule_c(cfg, a + 1), solver)
-        except EllrsError:
+        except EllrsError as exc:
             # keep the slices computed so far; the trailer names the failed step
             aborted_at = a + 1
+            print(f"error: evolve aborted at step a={aborted_at}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             break
 
     if cfg.format == "json":

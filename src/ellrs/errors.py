@@ -22,7 +22,13 @@ class NearSingular(EllrsError):
 
 
 class NoConvergence(EllrsError):
-    """Newton iteration exhausted its multistart budget without converging."""
+    """Newton iteration exhausted its multistart budget without converging: best_residual
+    is the least max_k |r_k|/|t_k| reached over all attempts, attempts the starts tried."""
+
+    def __init__(self, message: str, best_residual: float | None = None,
+                 attempts: int | None = None):
+        super().__init__(message)
+        self.best_residual, self.attempts = best_residual, attempts
 
 
 class DegenerateSolution(EllrsError):

@@ -13,6 +13,7 @@ components are matched across steps by nearest assignment modulo the lattice.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +81,61 @@ class Trajectory:
 # assignment modulo the lattice
 # ---------------------------------------------------------------------------
 
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in an exact minimum-total-cost assignment, rows <= columns:
+    shortest augmenting paths with dual potentials u, v (Jonker-Volgenant, in the form
+    and tie-breaking of Crouse, IEEE TAES 52, 2016).  On lists, since at the size of a
+    weight vector NumPy's per-call overhead would cost more than the O(n^2 m) arithmetic."""
+    n, m = len(cost), len(cost[0])
+    u, v, col4row, row4col = [0.0] * n, [0.0] * m, [-1] * n, [-1] * m
+    for cur in range(n):
+        short, path = [math.inf] * m, [-1] * m
+        remaining, seen = list(range(m - 1, -1, -1)), []
+        i, low = cur, 0.0
+        while i >= 0:  # grow the shortest-path tree until it reaches a free column
+            base, row, best, index = low - u[i], cost[i], math.inf, 0
+            for it, j in enumerate(remaining):
+                s, r = short[j], base + row[j] - v[j]
+                if r < s:
+                    path[j] = i
+                    short[j] = s = r
+                if s < best or (s == best and row4col[j] < 0):
+                    best, index = s, it
+            low, j = best, remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            seen.append(j)
+            i = row4col[j]
+        u[cur] += low
+        for j in seen:
+            v[j] -= low - short[j]
+            if row4col[j] >= 0:
+                u[row4col[j]] += low - short[j]
+        while i != cur:  # augment along the path back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
+
+
 def nearest_assignment(a, b, tau: complex) -> tuple[np.ndarray, float]:
     """Match components of a to components of b modulo the lattice.
 
-    The Hungarian assignment on pairwise lattice distances, which minimises
-    their total.  Returns (perm, max_distance) with a[i] ~ b[perm[i]].
+    The exact assignment on pairwise lattice distances, which minimises their
+    total.  Returns (perm, max_distance) with a[i] ~ b[perm[i]]; when a is the
+    longer, its unmatched components get perm[i] = -1.
     """
-    # deferred: importing scipy.optimize costs most of the package import time
-    from scipy.optimize import linear_sum_assignment
-
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
     dist = lattice_distance(a[:, None] - b[None, :], tau)
-    rows, cols = linear_sum_assignment(dist)
-    perm = np.empty(a.size, dtype=int)
-    perm[rows] = cols
-    return perm, float(dist[rows, cols].max())
+    if a.size <= b.size:
+        pairs = list(enumerate(_min_cost_assignment(dist.tolist())))
+    else:  # match every component of b instead
+        pairs = [(i, j) for j, i in enumerate(_min_cost_assignment(dist.T.tolist()))]
+    perm = [-1] * a.size
+    for i, j in pairs:
+        perm[i] = j
+    return np.array(perm), float(max(dist[i, j] for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +187,14 @@ def solve_next(
     base_guess = guess.lam if guess is not None else lam.lam - params.eta / n
     lam_arr = lam.lam
 
-    failure = None
-    for attempt in range(max(1, cfg.multistart)):
+    failure, best, attempts = None, math.inf, max(1, cfg.multistart)
+    for attempt in range(attempts):
         mu = np.array(base_guess, dtype=complex)
         if attempt > 0:
             rng = np.random.default_rng([attempt, 0xB1])
             mu = mu + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mu = _newton(mu, lam_arr, t, c, params, cfg)
+        mu, reached = _newton(mu, lam_arr, t, c, params, cfg)
+        best = min(best, reached)
         if mu is None:
             failure = "Newton iteration stalled"
             continue
@@ -166,24 +207,28 @@ def solve_next(
             failure = str(exc)
             continue
     if failure == "Newton iteration stalled":
-        raise NoConvergence(f"solve_next failed from {max(1, cfg.multistart)} starts "
-                            f"of at most {cfg.max_iter} iterations")
+        raise NoConvergence(f"solve_next failed from {attempts} starts of at most "
+                            f"{cfg.max_iter} iterations; best relative residual {best:.3g}",
+                            best_residual=best, attempts=attempts)
     raise DegenerateSolution(f"solve_next converged onto degenerate weights: {failure}")
 
 
 def _newton(mu, lam_arr, t, c, params, cfg):
-    scale = np.abs(t)
+    """One damped Newton attempt from mu: (the root, or None if the attempt
+    fails, and the smallest relative residual max_k |r_k|/|t_k| it reached)."""
+    scale, best = np.abs(t), math.inf
     table = None  # _flow_table at mu: after the first iteration, the accepted trial's
     for _ in range(cfg.max_iter):
         try:
             if table is None:
                 table = _flow_table(mu, lam_arr, c, params)
             res, jac = _flow_jacobian(mu, lam_arr, t, params, table)
-            if np.max(np.abs(res) / scale) < cfg.tol:
-                return mu
+            best = min(best, float(np.max(np.abs(res) / scale)))
+            if best < cfg.tol:
+                return mu, best
             delta = np.linalg.solve(jac, -res)
         except _ATTEMPT_ERRORS:
-            return None
+            return None, best
         big = np.max(np.abs(delta))
         if big > _MAX_NEWTON_STEP:
             delta *= _MAX_NEWTON_STEP / big
@@ -200,9 +245,10 @@ def _newton(mu, lam_arr, t, c, params, cfg):
                 break
             factor /= 2
         else:
-            return None  # stagnation: no decrease along the Newton direction
+            return None, best  # stagnation: no decrease along the Newton direction
         mu = mu + factor * delta
-    return mu if np.max(np.abs(table[0] - t) / scale) < cfg.tol else None
+    best = min(best, float(np.max(np.abs(table[0] - t) / scale)))
+    return (mu if best < cfg.tol else None), best
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,12 @@ class BacklundStep:
     def __post_init__(self, lam: WeightVector):
         mu = self.mu
         c, u = (_scalar(np.asarray(x, dtype=complex)) for x in (self.c, self.u))
-        derived = dict(c=c, u=u, source=PhaseConfig(lam, backlund_t(lam, mu, c)),
-                       t_tilde=backlund_ttilde(lam, mu, c), C=backlund_C(lam, mu),
-                       v=u + lam.total - mu.total)
+        # the two theta tables that the three formulas share
+        th = _coupling_table(lam, mu, "backlund_t")
+        source = PhaseConfig(lam, backlund_t(lam, mu, c, th))
+        mm = _mu_table(mu, "backlund_ttilde")
+        derived = dict(c=c, u=u, source=source, t_tilde=backlund_ttilde(lam, mu, c, th, mm),
+                       C=backlund_C(lam, mu, th, mm), v=u + lam.total - mu.total)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -125,32 +128,40 @@ def _coupling_table(lam: WeightVector, mu: WeightVector, what: str) -> np.ndarra
     return theta_table(lam.lam, mu.lam, (0, params.eta / params.n), params.torus)[0]
 
 
-def backlund_t(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
+def _mu_table(mu: WeightVector, what: str) -> np.ndarray:
+    """theta(mu_k - mu_m + delta) for delta = -eta/n, eta/n, indexed [delta, ..., k, m]."""
+    params = mu.params
+    n, h = params.n, params.eta / params.n
+    off = ~np.eye(n, dtype=bool)
+    lattice_guard((mu.lam[..., :, None] - mu.lam[..., None, :] + h)[..., off], params.tau,
+                  f"{what}: mu_k - mu_m + eta/n")
+    return theta_table(mu.lam, mu.lam, (-h, h), params.torus)[0]
+
+
+# each formula takes the tables it reads (th, mm) from a caller that has them
+
+def backlund_t(lam: WeightVector, mu: WeightVector, c: complex, th=None) -> np.ndarray:
     """t_k = e^c * prod_s theta(lambda_k - mu_s + eta/n) / theta(lambda_k - mu_s)."""
-    th = _coupling_table(lam, mu, "backlund_t")
+    th = _coupling_table(lam, mu, "backlund_t") if th is None else th
     return np.exp(c)[..., None] * np.prod(th[1] / th[0], axis=-1)
 
 
-def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
+def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex, th=None,
+                    mm=None) -> np.ndarray:
     """t~_k = e^c * prod_{m != k} theta(mu_mk - eta/n)/theta(mu_mk + eta/n)
     * prod_s theta(lambda_s - mu_k + eta/n)/theta(lambda_s - mu_k)."""
-    params = lam.params
-    n, h = params.n, params.eta / params.n
-    th = _coupling_table(lam, mu, "backlund_ttilde")
-    off = ~np.eye(n, dtype=bool)
-    lattice_guard((mu.lam[..., :, None] - mu.lam[..., None, :] + h)[..., off], params.tau,
-                  "backlund_ttilde: mu_k - mu_m + eta/n")
-    mm = theta_table(mu.lam, mu.lam, (-h, h), params.torus)[0]
+    th = _coupling_table(lam, mu, "backlund_ttilde") if th is None else th
+    mm = _mu_table(mu, "backlund_ttilde") if mm is None else mm
     ratio = _drop_diagonal(mm[0] / mm[1])  # the m = k factor is not part of the product
     return np.exp(c)[..., None] * np.prod(ratio, axis=-2) * np.prod(th[1] / th[0], axis=-2)
 
 
-def backlund_C(lam: WeightVector, mu: WeightVector) -> np.ndarray:
-    """C_k = prod_s theta(mu_sk - eta/n) / theta(lambda_s - mu_k)."""
-    params = lam.params
-    th = _coupling_table(lam, mu, "backlund_C")
-    mm = theta_table(mu.lam, mu.lam, (-params.eta / params.n,), params.torus)[0][0]
-    return np.prod(mm, axis=-2) / np.prod(th[0], axis=-2)
+def backlund_C(lam: WeightVector, mu: WeightVector, th=None, mm=None) -> np.ndarray:
+    """C_k = prod_s theta(mu_sk - eta/n) / theta(lambda_s - mu_k); of mm it reads mm[0]."""
+    th = _coupling_table(lam, mu, "backlund_C") if th is None else th
+    if mm is None:
+        mm = theta_table(mu.lam, mu.lam, (-lam.params.eta / lam.n,), lam.params.torus)[0]
+    return np.prod(mm[0], axis=-2) / np.prod(th[0], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +188,24 @@ def _gauge_frame(lam: WeightVector, rows: np.ndarray, weights: np.ndarray) -> np
     return own / np.prod(den, axis=-2)[..., None, :] * weights[..., :, None]
 
 
+def _gauge_factors(z, v, lam: WeightVector, rows: np.ndarray, what: str):
+    """The z-dependent factors of a gauge matrix: [..., k', k] = theta(z - v - eta
+    + lam_k - rows_k' + eta/n), and theta(z - v - eta) with two trailing axes."""
+    params = lam.params
+    big_z = np.asarray(z - v - params.eta)
+    lattice_guard(big_z, params.tau, f"{what}: z - v - eta")
+    shifted = theta_table(big_z[..., None] + lam.lam, rows, (params.eta / params.n,),
+                          params.torus)[0][0]
+    return shifted.swapaxes(-1, -2), theta_odd_pair(big_z, params.torus)[0][..., None, None]
+
+
 def _gauge_matrix(z, v, lam: WeightVector, rows: np.ndarray, frame: np.ndarray,
                   what: str) -> np.ndarray:
     """[..., k', k] = Phi_{z-v-eta}(lam_k - rows_k' + eta/n)
     * prod_l theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
     with the l = k factor cancelled against the Phi denominator and the rest in frame."""
-    params = lam.params
-    big_z = np.asarray(z - v - params.eta)
-    lattice_guard(big_z, params.tau, f"{what}: z - v - eta")
-    # [..., k, k'] = theta(z - v - eta + lam_k - rows_k' + eta/n)
-    shifted = theta_table(big_z[..., None] + lam.lam, rows, (params.eta / params.n,),
-                          params.torus)[0][0]
-    theta_z = theta_odd_pair(big_z, params.torus)[0][..., None, None]
-    return shifted.swapaxes(-1, -2) / theta_z * frame
+    shifted, theta_z = _gauge_factors(z, v, lam, rows, what)
+    return shifted / theta_z * frame
 
 
 def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
@@ -245,13 +261,9 @@ def kernel_residual(step: BacklundStep) -> float:
     so the n = 1 collapse (where that single factor itself vanishes and the
     1x1 matrix M(u) is identically zero) stays a meaningful check.
     """
-    lam, mu, params = step.source.lam, step.mu, step.mu.params
     psi, _, _, frame_m = step._tables
-    mg = _gauge_matrix(step.u, step.v, lam, mu.lam, frame_m, "m_matrix")
-    big_z = np.asarray(step.u - step.v - params.eta)
-    # [..., k', k] = theta(big_z + lam_k - mu_k' + eta/n)
-    factors = theta_table(big_z[..., None] + lam.lam, mu.lam, (params.eta / params.n,),
-                          params.torus)[0][0].swapaxes(-1, -2)
+    factors, theta_z = _gauge_factors(step.u, step.v, step.source.lam, step.mu.lam, "m_matrix")
+    mg = factors / theta_z * frame_m
     theta_scale = np.maximum(1.0, np.abs(factors).max(axis=(-2, -1)))
     safe = np.where(np.abs(factors) < 1e-150, 1.0, factors)
     stripped = np.abs(mg / safe) * np.abs(psi)[..., None, :]
@@ -296,6 +308,33 @@ def ks_identity_residual(xvec, yvec, xi, kprime, params: ModelParams) -> float:
 # generating function
 # ---------------------------------------------------------------------------
 
+# B_2j / (2j+1)! for j = 1..13, the coefficients of Li2 as a series in u = -log(1 - z)
+_LI2_SERIES = tuple(b / math.factorial(2 * j + 3) for j, b in enumerate((
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+    -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6)))
+
+
+def _dilog(z) -> np.ndarray:
+    """Principal-branch Li2(z) = -int_0^z log(1 - t)/t dt elementwise, cut along [1, inf);
+    on the cut the sign of a zero imaginary part picks the side.  Inversion and reflection
+    bring z to |u| < 1.3, where Li2 = u - u^2/4 + sum_j B_2j u^(2j+1)/(2j+1)!."""
+    z = np.array(z, dtype=complex)
+    out, sign = np.zeros_like(z), np.ones(z.shape)
+    big = np.abs(z) > 1  # Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2/2
+    out[big] = -math.pi ** 2 / 6 - 0.5 * np.log(-z[big]) ** 2
+    z[big], sign[big] = 1 / z[big], -1
+    # Li2(z) = pi^2/6 - log(z) log(1 - z) - Li2(1 - z), where the product is 0 at z = 1
+    near = z.real > 0.5
+    w = z[near]
+    out[near] += sign[near] * (math.pi ** 2 / 6 - np.log(w) * np.log(1 - np.where(w == 1, 0, w)))
+    z[near], sign[near] = 1 - w, -sign[near]
+    u = -np.log(1 - z)
+    u2, acc = u * u, np.zeros_like(u)
+    for coef in reversed(_LI2_SERIES):
+        acc = acc * u2 + coef
+    return out + sign * (u - u2 / 4 + u * u2 * acc)
+
+
 def _log_theta_antiderivative(x: np.ndarray, tau: complex) -> np.ndarray:
     """S(x) = int log theta elementwise, integrated termwise from the Jacobi triple product
 
@@ -304,9 +343,6 @@ def _log_theta_antiderivative(x: np.ndarray, tau: complex) -> np.ndarray:
 
     as x log A - pi i x^2/2 + [-Li2(w) - sum_m Li2(q^m w) + sum_m Li2(q^m / w)] / (2 pi i).
     """
-    # deferred: importing scipy.special costs about half a second
-    from scipy.special import spence
-
     reach = float(np.abs(x.imag).max())
     # |q^m w|^{+-1} <= e^{-2 pi (m Im tau - reach)}: terms past `count` are below _SERIES_EPS
     count = math.ceil((reach - math.log(_SERIES_EPS) / (2 * math.pi)) / tau.imag)
@@ -316,8 +352,7 @@ def _log_theta_antiderivative(x: np.ndarray, tau: complex) -> np.ndarray:
     qm = np.exp(2j * math.pi * tau * np.arange(1, count + 1))
     log_a = -0.5j * math.pi + 0.25j * math.pi * tau + np.log(1 - qm).sum()
     w = np.exp(2j * math.pi * x)[..., None]
-    li2 = lambda z: spence(1 - z)
-    series = -li2(w[..., 0]) - li2(qm * w).sum(axis=-1) + li2(qm / w).sum(axis=-1)
+    series = -_dilog(w[..., 0]) - _dilog(qm * w).sum(axis=-1) + _dilog(qm / w).sum(axis=-1)
     return x * log_a - 0.5j * math.pi * x * x + series / (2j * math.pi)
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 import ellrs.cli as cli
-from ellrs import NonconvergentSeries, WeightVector, discrete_rs_residual
+from ellrs import (ModelParams, NonconvergentSeries, TorusParams, WeightVector,
+                   discrete_rs_residual, generating_function)
 from ellrs.cli import CSV_HEADER, load_trajectory_csv, main
 
 FIXTURE = {
@@ -200,6 +201,16 @@ class TestEvolve:
         assert lines[-1] == "# aborted at step a=1"
         assert len(lines) == 1 + 3 + 1  # header + initial slice + trailer
 
+    def test_abort_names_step_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, mu0=None, t0=[[1e30, 0.0], [1.0, 0.0], [1.0, 0.0]], steps=5
+        )
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "traj.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: evolve aborted at step a=1: NoConvergence: solve_next failed")
+        assert "best relative residual" in err
+
     def test_numeric_error_keeps_good_steps(self, tmp_path, monkeypatch):
         real_step = cli.step
 
@@ -265,11 +276,44 @@ class TestDeterminism:
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize and scipy.special are imported inside the functions that
-    # use them, which keeps them out of the package's start-up time
+    # the package runs on NumPy alone; scipy is only a test oracle
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, ellrs, ellrs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # with every scipy import failing, evolve writes the same bytes and the
+    # generating function gives the same value as in this process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg = write_config(tmp_path)
+    blocked, ordinary = tmp_path / "blocked.csv", tmp_path / "ordinary.csv"
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+try:
+    import scipy.optimize
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy is not blocked")
+from ellrs import ModelParams, TorusParams, WeightVector, generating_function
+from ellrs.cli import main
+assert main(["evolve", "--config", {cfg!r}, "--steps", "100", "--out", {str(blocked)!r}]) == 0
+params = ModelParams(3, 0.23, TorusParams(1j))
+lam = WeightVector([0.11 + 0.03j, 0.43 - 0.06j, -0.37 + 0.09j], params)
+mu = WeightVector([0.06 + 0.01j, 0.39 - 0.08j, -0.40 + 0.07j], params)
+print(repr(generating_function(lam, mu, 0.1, 0.17 + 0.05j)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert main(["evolve", "--config", cfg, "--steps", "100", "--out", str(ordinary)]) == 0
+    assert blocked.read_bytes() == ordinary.read_bytes()
+    params = ModelParams(3, 0.23, TorusParams(1j))
+    lam = WeightVector([0.11 + 0.03j, 0.43 - 0.06j, -0.37 + 0.09j], params)
+    mu = WeightVector([0.06 + 0.01j, 0.39 - 0.08j, -0.40 + 0.07j], params)
+    assert out.stdout.strip() == repr(generating_function(lam, mu, 0.1, 0.17 + 0.05j))

@@ -1,6 +1,7 @@
 """Discrete-flow tests: Newton round trips, trajectories, commutativity."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ellrs import (
     backlund_commutativity_residual,
     backlund_t,
     discrete_rs_residual,
+    lattice_distance,
     nearest_assignment,
     solve_next,
     step,
@@ -105,6 +107,23 @@ class TestSolveNext:
         with pytest.raises(NoConvergence):
             solve_next(fixture_lam, np.array([1e30, 1.0, 1.0]), 0.1)
         assert len(calls) <= SolverConfig().multistart * 25
+
+    def test_no_convergence_reports_best_residual(self, fixture_lam, monkeypatch):
+        # the error carries the least relative residual of any iterate, over all starts
+        t, seen = np.array([1e30, 1.0, 1.0]), []
+        jacobian = flow._flow_jacobian
+
+        def recorded(*args):
+            res, jac = jacobian(*args)
+            seen.append(np.max(np.abs(res) / np.abs(t)))
+            return res, jac
+
+        monkeypatch.setattr(flow, "_flow_jacobian", recorded)
+        with pytest.raises(NoConvergence) as info:
+            solve_next(fixture_lam, t, 0.1, SolverConfig(multistart=3))
+        assert info.value.attempts == 3
+        assert len(seen) >= 3 and info.value.best_residual == min(seen)
+        assert f"best relative residual {min(seen):.3g}" in str(info.value)
 
     def test_deterministic(self, fixture_lam, fixture_mu):
         t = backlund_t(fixture_lam, fixture_mu, 0.1)
@@ -295,3 +314,46 @@ class TestCommutativity:
             t0 = backlund_t(lam, mu, 0.1)
             res = backlund_commutativity_residual(lam, t0, 0.08, -0.05)
             assert res < 1e-7
+
+
+class TestNearestAssignment:
+    """The in-package assignment against brute force and, when installed, SciPy."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_minimum_total_matches_brute_force(self, n):
+        rng = np.random.default_rng(100 + n)
+        for tau in (1j, 0.3 + 1.2j):
+            for _ in range(20):
+                a = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                perm, worst = nearest_assignment(a, b, tau)
+                dist = lattice_distance(a[:, None] - b[None, :], tau)
+                best = min(sum(dist[i, p[i]] for i in range(n))
+                           for p in itertools.permutations(range(n)))
+                assert sorted(perm) == list(range(n))
+                assert abs(dist[np.arange(n), perm].sum() - best) < 1e-12
+                assert worst == dist[np.arange(n), perm].max()
+
+    def test_columns_match_scipy(self):
+        # random costs have one optimum; small integer costs have many, and the
+        # ties must resolve as SciPy resolves them
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(7)
+        for trial in range(3000):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(n, 10))
+            cost = rng.random((n, m)) if trial % 2 else rng.integers(0, 3, (n, m)) * 1.0
+            assert flow._min_cost_assignment(cost.tolist()) == list(linear_sum_assignment(cost)[1])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3)])
+    def test_rectangular_matches_scipy(self, shape):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(sum(shape))
+        a = rng.uniform(-1, 1, shape[0]) + 1j * rng.uniform(-1, 1, shape[0])
+        b = rng.uniform(-1, 1, shape[1]) + 1j * rng.uniform(-1, 1, shape[1])
+        perm, worst = nearest_assignment(a, b, 1j)
+        dist = lattice_distance(a[:, None] - b[None, :], 1j)
+        rows, cols = linear_sum_assignment(dist)
+        assert np.array_equal(perm[rows], cols)
+        assert np.all(np.delete(perm, rows) == -1)  # rows of a left without a partner
+        assert worst == dist[rows, cols].max()

@@ -285,6 +285,15 @@ class TestKernelCalls:
         many = self.count_calls(monkeypatch, lambda: check(25, 42, params3))
         assert len(few) == len(many) <= 30
 
+    def test_backlund_tables_built_once(self, params3, fixture_lam, fixture_mu, monkeypatch):
+        # a step evaluates the lambda-mu and the mu-mu table once each and shares them
+        # among t, t~ and C; the Backlund sweep makes 19 calls at any draw count
+        step = self.count_calls(monkeypatch,
+                                lambda: make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2))
+        assert len(step) == 2
+        assert len(self.count_calls(monkeypatch,
+                                    lambda: check_backlund_residuals(25, 42, params3))) == 19
+
     def test_no_call_exceeds_2000_elements(self, monkeypatch, torus_i):
         params = ModelParams(4, 0.23, torus_i)
         sizes = self.count_calls(monkeypatch, lambda: run_all(SuiteConfig(params=params, seed=42)))

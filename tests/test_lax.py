@@ -345,6 +345,43 @@ GRADIENT_CASES = {
 }
 
 
+def _dilog_points():
+    """A log-radius x angle grid, the unit circle, points near z = 1 and z = 0, and
+    both sides of the cut [1, inf) (real z with imaginary part +0 and -0)."""
+    grid = np.exp(np.add.outer(np.linspace(-12, 12, 25), 1j * np.linspace(-np.pi, np.pi, 24,
+                                                                          endpoint=False)))
+    circle = np.exp(1j * np.linspace(-np.pi, np.pi, 61))
+    near_one = 1 + np.multiply.outer([1e-12, 1e-6, 1e-2], np.exp(1j * np.linspace(0, 6, 8)))
+    cut = np.array([1.0, 1 + 1e-9, 1.5, 2.0, 7.0, 1e5])
+    return np.concatenate((grid.ravel(), circle, near_one.ravel(), [0, 1e-300, 0.5, -1],
+                           cut + 0j, np.array([complex(x, -0.0) for x in cut])))
+
+
+class TestDilogarithm:
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        from ellrs.lax import _dilog
+
+        z = _dilog_points()
+        got = _dilog(z)
+        with mpmath.workdps(30):
+            # a zero imaginary part stands for the limit from its side of the cut
+            want = np.array([complex(mpmath.polylog(2, mpmath.mpc(p.real, p.imag or
+                                                                  math.copysign(1e-40, p.imag))))
+                             for p in z])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want)))
+
+    def test_matches_scipy_spence(self):
+        spence = pytest.importorskip("scipy.special").spence
+        from ellrs.lax import _dilog
+
+        # off the cut, where spence(1 - z) may take either side
+        z = _dilog_points()
+        z = z[(z.imag != 0) | (z.real < 1)]
+        want = spence(1 - z)
+        assert np.all(np.abs(_dilog(z) - want) <= 1e-13 * np.maximum(1, np.abs(want)))
+
+
 class TestGeneratingFunction:
     @pytest.mark.parametrize("case", GRADIENT_CASES)
     def test_gradients_match_t_and_ttilde(self, case):
