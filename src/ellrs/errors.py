@@ -18,7 +18,12 @@ class DegenerateWeights(EllrsError):
 
 
 class NearSingular(EllrsError):
-    """Matrix inversion refused: estimated condition number above threshold."""
+    """Matrix inversion refused: estimated condition number above threshold.  draws holds
+    the flat indices of every refused matrix of a stack ([0] for a single matrix)."""
+
+    def __init__(self, message: str, draws=()):
+        super().__init__(message)
+        self.draws = draws
 
 
 class NoConvergence(EllrsError):

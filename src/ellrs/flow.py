@@ -21,7 +21,7 @@ import numpy as np
 from .elliptic import ModelParams, lattice_distance, lattice_guard, lattice_reduce, theta_table
 from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
 from .intertwiners import WeightVector
-from .lax import PhaseConfig, backlund_ttilde
+from .lax import PhaseConfig, backlund_t, backlund_ttilde
 
 # Newton steps longer than this (per component) are rescaled; keeps trial
 # points inside a couple of lattice cells where theta stays representable
@@ -38,7 +38,6 @@ class SolverConfig:
 
     tol: float = 1e-11
     max_iter: int = 50
-    damping: float = 1.0
     multistart: int = 5
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +230,7 @@ def _newton(mu, lam_arr, t, c, params, cfg):
         if big > _MAX_NEWTON_STEP:
             delta *= _MAX_NEWTON_STEP / big
         # halve the step until the residual actually decreases
-        factor = cfg.damping
+        factor = 1.0
         base = np.max(np.abs(res))
         for _ in range(24):
             try:
@@ -295,31 +292,21 @@ def discrete_rs_residual(
       = prod_s theta(lam_k(a)-lam_s(a+1))/theta(lam_k(a)-lam_s(a+1)+eta/n)
                * theta(lam_k(a)-lam_s(a-1)-eta/n)/theta(lam_k(a)-lam_s(a-1))
 
-    maximized over k, each side scaled by |LHS| + |RHS|.
+    which says that the t of the step a -> a+1 equals the t~ of the step a-1 -> a:
+    max over k of |t - t~| / (|t| + |t~|), one per draw for stacked weights.
     """
-    params = lam_cur.params
-    n, h = params.n, params.eta / params.n
-    cur = lam_cur.lam
-    # one table [delta, k, s] over delta = -eta/n, 0, eta/n, with the columns
-    # s running over lambda(a), then lambda(a+1), then lambda(a-1)
-    th = theta_table(cur, np.concatenate((cur, lam_next.lam, lam_prev.lam)), (-h, 0, h),
-                     params.torus)[0]
-    own, nxt, prv = th[:, :, :n], th[:, :, n:2 * n], th[:, :, 2 * n:]
-    # own[delta, m, k] = theta(lam_m(a) - lam_k(a) + delta); m = k is not a factor
-    ratio = own[2] / own[0]
-    np.fill_diagonal(ratio, 1)
-    lhs = cmath.exp(c_cur - c_prev) * np.prod(ratio, axis=0)
-    rhs = np.prod(nxt[1] / nxt[2], axis=1) * np.prod(prv[0] / prv[1], axis=1)
-    return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs))))
+    t = backlund_t(lam_cur, lam_next, c_cur)
+    t_tilde = backlund_ttilde(lam_prev, lam_cur, c_prev)
+    res = np.max(np.abs(t - t_tilde) / (np.abs(t) + np.abs(t_tilde)), axis=-1)
+    return res if res.ndim else float(res)
 
 
 def trajectory_residuals(traj: Trajectory) -> list[float]:
-    """discrete_rs_residual for every interior time slice of the trajectory."""
-    out = []
-    for idx in range(1, len(traj.steps) - 1):
-        prev, cur, nxt = traj.steps[idx - 1], traj.steps[idx], traj.steps[idx + 1]
-        out.append(discrete_rs_residual(prev.lam, cur.lam, nxt.lam, prev.c, cur.c))
-    return out
+    """discrete_rs_residual for every interior time slice of the trajectory, in one stacked call."""
+    lam = np.array([s.lam.lam for s in traj.steps])
+    c = np.array([s.c for s in traj.steps])
+    prev, cur, nxt = (WeightVector(lam[a:len(lam) - 2 + a], traj.params) for a in range(3))
+    return discrete_rs_residual(prev, cur, nxt, c[:-2], c[1:-1]).tolist()
 
 
 def backlund_commutativity_residual(

@@ -32,13 +32,8 @@ from .elliptic import (
     theta_odd_pair,
     theta_table,
 )
-from .errors import DegenerateWeights, NearSingular, PoleAtLatticePoint
-from .intertwiners import (
-    WeightVector,
-    det_prefactor,
-    phi_inverse,
-    phi_matrix,
-)
+from .errors import NearSingular
+from .intertwiners import WeightVector, det_phi_closed_form, phi_inverse, phi_matrix
 from .lax import (
     PhaseConfig,
     _ks_sides,
@@ -113,26 +108,17 @@ def draw_generic(rng: np.random.Generator, tau: complex, avoid=(), min_dist=_MIN
     raise RuntimeError("rejection sampling exhausted; avoid set too dense")
 
 
-def _draw_distinct(rng, tau: complex, count: int, avoid=()) -> list[complex]:
-    """count draws that clear the avoid points and each other."""
+def _draw_points(rng, tau: complex, count: int, avoid=(), shifts=(0,)) -> list[complex]:
+    """count draws that clear the avoid points and, moved by each shift, the draws before them."""
     out: list[complex] = []
     for _ in range(count):
-        out.append(draw_generic(rng, tau, avoid=list(avoid) + out))
+        out.append(draw_generic(rng, tau, avoid=[*avoid, *(p + s for s in shifts for p in out)]))
     return out
 
 
-def _draw_weights(rng, params, spread_eta=False) -> WeightVector:
-    """Random generic weights; spread_eta also clears the +-eta/n offsets that
-    show up in gauge-frame denominators."""
-    tau = params.tau
-    offs = params.eta / params.n
-    vals: list[complex] = []
-    for _ in range(params.n):
-        avoid = list(vals)
-        if spread_eta:
-            avoid += [v + offs for v in vals] + [v - offs for v in vals]
-        vals.append(draw_generic(rng, tau, avoid=avoid))
-    return WeightVector(np.array(vals), params)
+def _spread(params: ModelParams) -> tuple:
+    """Shifts for _draw_points that also clear the +-eta/n offsets of gauge-frame denominators."""
+    return (0, params.eta / params.n, -params.eta / params.n)
 
 
 def _diffs(a, b) -> np.ndarray:
@@ -142,6 +128,25 @@ def _diffs(a, b) -> np.ndarray:
 
 def _rel_diff(lhs, rhs):
     return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
+
+
+def _phi_sweep(params: ModelParams, draws: int, draw_row, sides):
+    """(weights [draw, n], z [draw], sides(weights, z)) of a sweep through phi and phibar.
+
+    draw_row() draws one (weights, z) row.  Every row is drawn first, in sweep order, and
+    sides evaluates phi and phibar once over the stack; the rows whose phibar is refused as
+    NearSingular are redrawn in place and the stack is evaluated again.
+    """
+    rows = [draw_row() for _ in range(draws)]
+    for _ in range(_MAX_RETRIES):
+        lam = np.array([r[0] for r in rows], dtype=complex).reshape(draws, params.n)
+        z = np.array([r[1] for r in rows], dtype=complex)
+        try:
+            return lam, z, sides(WeightVector(lam, params), z)
+        except NearSingular as exc:
+            for d in exc.draws:
+                rows[d] = draw_row()
+    raise RuntimeError("could not draw a well-conditioned phi sweep")
 
 
 def _report(name, residuals, describe, seed, tol) -> IdentityReport:
@@ -188,8 +193,8 @@ def check_functional_relation(draws: int, seed: int, torus: TorusParams,
 def _constrained_points(rng, tau, count):
     """x_i, y_i with sum(x - y) = 0, all mutual differences kept generic."""
     for _ in range(_MAX_RETRIES):
-        ys = _draw_distinct(rng, tau, count)
-        xs = _draw_distinct(rng, tau, count - 1, avoid=ys)
+        ys = _draw_points(rng, tau, count)
+        xs = _draw_points(rng, tau, count - 1, avoid=ys)
         closing = sum(ys) - sum(xs)
         if lattice_distance(closing - np.array([0, *ys, *xs]), tau).min() >= _MIN_ZERO_DIST:
             return xs + [closing], ys
@@ -291,8 +296,8 @@ def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
     tau = torus.tau
     rows = []
     for _ in range(draws):
-        ys = _draw_distinct(rng, tau, N)
-        xs = _draw_distinct(rng, tau, N, avoid=ys)
+        ys = _draw_points(rng, tau, N)
+        xs = _draw_points(rng, tau, N, avoid=ys)
         xi = draw_generic(rng, tau, avoid=[a - b for a in ys + xs for b in ys + xs])
         z = draw_generic(
             rng, tau,
@@ -338,23 +343,17 @@ def check_commute(draws: int, seed: int, params: ModelParams,
     """
     rng = _rng_for("commute", seed)
     tau, eta, n = params.tau, params.eta, params.n
-    lams, zvs, lhs, sums = [], [], [], []
-    while len(lams) < draws:
-        try:
-            lam = _draw_weights(rng, params, spread_eta=True)
-            zv = draw_generic(rng, tau, avoid=(eta,))  # stands for z - v
-            pf = phi_matrix(zv, lam).entries
-            pb = phi_inverse(zv - eta, lam)
-            neg = WeightVector(-lam.lam, params)
-            qf = phi_matrix(zv, neg).entries
-            qb = phi_inverse(zv - eta, neg)
-        except (NearSingular, PoleAtLatticePoint, DegenerateWeights):
-            continue
-        lams.append(lam)
-        zvs.append(zv)
-        lhs.append(pb @ pf)  # [k, k']
-        sums.append((qb @ qf).T)  # [k, k'] = sum_i qb[k', i] qf[i, k]
-    lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
+
+    def sides(lam, zv):
+        neg = WeightVector(-lam.lam, params)
+        # [k, k'] = sum_i pb[k, i] pf[i, k'], and sum_i qb[k', i] qf[i, k]
+        return (phi_inverse(zv - eta, lam) @ phi_matrix(zv, lam).entries,
+                (phi_inverse(zv - eta, neg) @ phi_matrix(zv, neg).entries).swapaxes(-1, -2))
+
+    # zv stands for z - v
+    lam, zvs, (lhs, sums) = _phi_sweep(params, draws, lambda: (
+        _draw_points(rng, tau, n, shifts=_spread(params)), draw_generic(rng, tau, avoid=(eta,))),
+        sides)
     # [delta, d, a, b] = theta(lam_a - lam_b + delta), delta = 0, eta/n
     th = theta_table(lam, lam, (0, eta / n), params.torus)[0]
     own = _drop_diagonal(th[0])
@@ -362,8 +361,7 @@ def check_commute(draws: int, seed: int, params: ModelParams,
     #                  * prod_l th1[l, k'] / prod_l th1[k, l]
     pref = (np.prod(own, axis=2)[:, None, :] / np.prod(own, axis=1)[:, :, None]
             * np.prod(th[1], axis=1)[:, None, :] / np.prod(th[1], axis=2)[:, :, None])
-    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n),
-                          pref * np.array(sums).reshape(draws, n, n))
+    residuals = _rel_diff(lhs, pref * sums)
     return _report("commute", residuals, lambda d, k, kp: {
         "lambda": [_cx(x) for x in lam[d]], "z_minus_v": _cx(zvs[d]), "k": k, "kprime": kp,
     }, seed, tol)
@@ -377,16 +375,13 @@ def check_det_formula(n: int, draws: int, seed: int, params: ModelParams,
     if params.n != n:
         params = ModelParams(n, params.eta, params.torus)
     tau = params.tau
-    ie = 1j * dedekind_eta(tau)
-    zs = np.array([_draw_distinct(rng, tau, n) for _ in range(draws)], dtype=complex)
+    zs = np.array([_draw_points(rng, tau, n) for _ in range(draws)], dtype=complex)
     zs = zs.reshape(draws, n)
     mat = theta_level(np.arange(1, n + 1)[:, None], zs[:, None, :], params)
     det = np.linalg.det(mat.reshape(draws, n, n))
-    # the closed form of det_phi, pulled back to det(theta) by (i*etaD)^n:
-    # theta(sum z) and theta(z_j - z_i) for i < j, each over i*etaD
-    later, earlier = np.tril_indices(n, -1)
-    args = np.concatenate((zs.sum(axis=1, keepdims=True), zs[:, later] - zs[:, earlier]), axis=1)
-    rhs = det_prefactor(n) * ie ** n * np.prod(theta_odd_pair(args, params.torus)[0] / ie, axis=1)
+    # the closed form of det phi at the weights -z_j, pulled back to det(theta) by (i*etaD)^n
+    rhs = (1j * dedekind_eta(tau)) ** n * det_phi_closed_form(zs.sum(axis=1),
+                                                              WeightVector(-zs, params))
     return _report(name, _rel_diff(det, rhs), lambda d: {"z": [_cx(z) for z in zs[d]]}, seed, tol)
 
 
@@ -400,23 +395,12 @@ def check_conjugation(draws: int, seed: int, params: ModelParams,
     """
     rng = _rng_for("conjugation", seed)
     tau, eta, n = params.tau, params.eta, params.n
-    lams, zs, lhs = [], [], []
-    while len(lams) < draws:
-        try:
-            lam = _draw_weights(rng, params)
-            z = draw_generic(rng, tau)
-            pb = phi_inverse(z, lam)
-            pe = phi_matrix(z + eta, lam).entries
-        except (NearSingular, PoleAtLatticePoint, DegenerateWeights):
-            continue
-        lams.append(lam)
-        zs.append(z)
-        lhs.append(pb @ pe)  # [k, k']
-    lam = np.array([w.lam for w in lams], dtype=complex).reshape(draws, n)
-    z = np.array(zs, dtype=complex)
+    lam, z, lhs = _phi_sweep(
+        params, draws, lambda: (_draw_points(rng, tau, n), draw_generic(rng, tau)),
+        lambda lam, z: phi_inverse(z, lam) @ phi_matrix(z + eta, lam).entries)  # [k, k']
     # the right side is the gauge-frame L, transposed, at z + eta with v = 0 and unit weights
     rhs = lax_gauge(z + eta, PhaseConfig(WeightVector(lam, params), np.ones((draws, n))), 0)
-    residuals = _rel_diff(np.array(lhs).reshape(draws, n, n), rhs.swapaxes(-1, -2))
+    residuals = _rel_diff(lhs, rhs.swapaxes(-1, -2))
     return _report("conjugation", residuals, lambda d, k, kp: {
         "lambda": [_cx(x) for x in lam[d]], "z": _cx(z[d]), "k": k, "kprime": kp,
     }, seed, tol)
@@ -429,8 +413,8 @@ def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> I
     n = params.n
     rows = []
     while len(rows) < draws:
-        xs = _draw_distinct(rng, tau, n)
-        ys = [draw_generic(rng, tau, avoid=xs) for _ in range(n)]
+        xs = _draw_points(rng, tau, n)
+        ys = _draw_points(rng, tau, n, avoid=xs, shifts=())
         xi = draw_generic(rng, tau, avoid=[a - b for a in xs for b in xs])
         kp = int(rng.integers(n))
         # keep the constrained z off the lattice so the scale stays bounded
@@ -454,16 +438,10 @@ def _draw_backlund(rng, params):
     Every theta argument that ends up in a denominator (lambda_k - mu_s, mu_mk +- eta/n,
     lambda pairwise, u - v - eta) is kept _MIN_ZERO_DIST from the lattice by the avoid sets,
     far outside the guards of the step formulas."""
-    tau = params.tau
-    offs = params.eta / params.n
+    tau, n, spread = params.tau, params.n, _spread(params)
     for _ in range(_MAX_RETRIES):
-        lam = _draw_weights(rng, params, spread_eta=True).lam
-        mus: list[complex] = []
-        for _ in range(params.n):
-            avoid = (list(lam) + [l + offs for l in lam]
-                     + mus + [m + offs for m in mus] + [m - offs for m in mus])
-            mus.append(draw_generic(rng, tau, avoid=avoid))
-        mu = np.array(mus)
+        lam = np.array(_draw_points(rng, tau, n, shifts=spread))
+        mu = np.array(_draw_points(rng, tau, n, avoid=[*lam, *(lam + spread[1])], shifts=spread))
         c = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
         u = _draw_cell(rng, tau)
         # the gauge matrices divide by theta(u - v - eta)

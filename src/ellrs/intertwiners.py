@@ -21,15 +21,11 @@ from .elliptic import (
     dedekind_eta,
     lattice_guard,
     theta_level,
-    theta_odd,
     theta_odd_pair,
 )
 from .errors import DegenerateWeights, NearSingular
 
 _COND_LIMIT = 1e12
-# two-point Richardson nodes for the z -> 0 limit of theta(z)*phibar(z);
-# truncation error scales like the node spacing squared
-_TILDE_NODES = (1e-5, 5e-6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,81 +54,87 @@ class WeightVector:
         """Lambda = sum_j lambda_j, one per draw for a stack."""
         return _scalar(np.add.reduce(self.lam, axis=-1))
 
-    def pairing(self, k: int) -> complex:
-        """<lambda, ebar_k> = lambda_k - Lambda/n (k is 0-based)."""
-        return complex(self.lam[k] - self.total / self.n)
+    def pairing(self, k: int):
+        """<lambda, ebar_k> = lambda_k - Lambda/n (k is 0-based), one per draw for a stack."""
+        return _scalar(self.pairings()[..., k])
 
     def pairings(self) -> np.ndarray:
-        return self.lam - self.total / self.n
+        """<lambda, ebar_k> for every k, indexed [..., k]."""
+        return self.lam - np.add.reduce(self.lam, axis=-1, keepdims=True) / self.n
 
 
 @dataclass(frozen=True, eq=False)
 class IntertwinerMatrix:
-    """phi(z): entries[i, k] as in the module docstring, plus its inputs."""
+    """phi(z): entries[..., i, k] as in the module docstring, plus its inputs."""
 
     entries: np.ndarray
     z: complex
     lam: WeightVector
 
 
-def phi_matrix(z: complex, lam: WeightVector) -> IntertwinerMatrix:
-    """Build phi(z) for the weight vector lam."""
+def phi_matrix(z, lam: WeightVector) -> IntertwinerMatrix:
+    """Build phi(z) for the weight vector lam, z broadcast against its draw axes."""
     params = lam.params
     n = params.n
     ie = 1j * dedekind_eta(params.tau)
+    z = np.asarray(z, dtype=complex)
     # rows run over theta_1 .. theta_n (theta_n = theta_0); the row order
     # fixes the sign of the determinant identity
     rows = np.arange(1, n + 1)[:, None]
-    entries = theta_level(rows, z / n - lam.pairings()[None, :], params) / ie
+    entries = theta_level(rows, z[..., None, None] / n - lam.pairings()[..., None, :], params) / ie
     entries.setflags(write=False)
-    return IntertwinerMatrix(entries, complex(z), lam)
+    return IntertwinerMatrix(entries, _scalar(z), lam)
 
 
-def phi_inverse(z: complex, lam: WeightVector) -> np.ndarray:
-    """phibar(z): inverse of phi(z), indexed [k, i].
+def phi_inverse(z, lam: WeightVector) -> np.ndarray:
+    """phibar(z): inverse of phi(z), indexed [..., k, i].
 
     Computed by an LU solve against the identity rather than the closed-form
-    cofactor expression; raises NearSingular when the condition estimate
+    cofactor expression; raises NearSingular, naming the first refused z and
+    carrying the flat indices of every refused draw, when a condition estimate
     exceeds 1e12 (z near the lattice or weights nearly degenerate).
     """
     phi = phi_matrix(z, lam).entries
     cond = np.linalg.cond(phi)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NearSingular(f"phi(z) at z={complex(z)} has condition estimate {cond:.3e}")
-    inv = np.linalg.solve(phi, np.eye(lam.n, dtype=complex))
-    return inv
+    refused = np.flatnonzero(~(cond <= _COND_LIMIT))  # also refuses nan
+    if refused.size:
+        first = refused[0]
+        bad_z = complex(np.broadcast_to(np.asarray(z), cond.shape).flat[first])
+        raise NearSingular(f"phi(z) at z={bad_z} has condition estimate {cond.flat[first]:.3e}",
+                           draws=refused)
+    return np.linalg.solve(phi, np.broadcast_to(np.eye(lam.n, dtype=complex), phi.shape))
+
+
+def _weight_factor(lam: WeightVector) -> np.ndarray:
+    """sign(n) * prod_{i<j} theta(lambda_i - lambda_j)/(i*etaD), one per draw, so that
+    det phi(z) = theta(z)/(i*etaD) times it.  For the rows theta_1..theta_n,
+    sign(n) = (-1)^(n-1) * (-1)^(n(n-1)/2); both factors are forced by the n = 1
+    collapse and verified numerically for n <= 5."""
+    params = lam.params
+    n = params.n
+    earlier, later = np.triu_indices(n, 1)
+    th = theta_odd_pair(lam.lam[..., earlier] - lam.lam[..., later], params.torus)[0]
+    sign = (-1) ** (n - 1) * (-1) ** (n * (n - 1) // 2)
+    return sign * np.prod(th / (1j * dedekind_eta(params.tau)), axis=-1)
 
 
 def phi_tilde0(lam: WeightVector) -> np.ndarray:
-    """Regularized inverse at the determinant zero: lim_{z->0} theta(z)*phibar(z).
+    """Regularized inverse at the determinant zero: lim_{z->0} theta(z)*phibar(z), [..., k, i].
 
-    Evaluated by two-point Richardson extrapolation, linear in the node z0.
+    By the closed form of det phi it equals i*etaD * adj phi(0) / _weight_factor,
+    with the adjugate taken from the (n-1)x(n-1) minors of phi(0).
     """
-    torus = lam.params.torus
-    h0, h1 = _TILDE_NODES
-
-    def f(z0):
-        return theta_odd(z0, torus) * phi_inverse(z0, lam)
-
-    f0, f1 = f(h0), f(h1)
-    # linear model f(h) = f(0) + D*h:  eliminate D from the two nodes
-    return (h0 * f1 - h1 * f0) / (h0 - h1)
+    n = lam.n
+    phi = phi_matrix(0.0, lam).entries
+    # keep[i] = the indices 0..n-1 other than i; minors[..., i, k] drops row i and column k
+    keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    minors = np.linalg.det(phi[..., keep[:, None, :, None], keep[None, :, None, :]])
+    adj = ((-1) ** np.add.outer(np.arange(n), np.arange(n)) * minors).swapaxes(-1, -2)
+    return 1j * dedekind_eta(lam.params.tau) * adj / _weight_factor(lam)[..., None, None]
 
 
-def det_prefactor(n: int) -> int:
-    """Sign constant in the determinant identity for rows theta_1..theta_n.
-
-    det(theta_i(z_j)) = sign * theta(sum z_j)/(i*etaD) *
-                        prod_{i<j} theta(z_j - z_i)/(i*etaD) * (i*etaD)^n,
-    equivalently det phi(z) drops the trailing (i*etaD)^n.  The sign carries
-    an extra (-1)^{n(n-1)/2} relative to the bare (-1)^{n-1}; both factors are
-    forced by the n = 1 collapse and verified numerically for n <= 5.
-    """
-    return (-1) ** (n - 1) * (-1) ** (n * (n - 1) // 2)
-
-
-def det_phi_closed_form(z: complex, lam: WeightVector) -> complex:
-    """Closed form for det phi(z):
+def det_phi_closed_form(z, lam: WeightVector):
+    """Closed form for det phi(z), one per draw with z broadcast against the draw axes:
 
     sign(n) * theta(sum z_j)/(i*etaD) * prod_{i<j} theta(z_j - z_i)/(i*etaD)
 
@@ -140,14 +142,8 @@ def det_phi_closed_form(z: complex, lam: WeightVector) -> complex:
     z_j - z_i = lambda_i - lambda_j.
     """
     params = lam.params
-    n = params.n
-    torus = params.torus
-    ie = 1j * dedekind_eta(params.tau)
-    zs = z / n - lam.pairings()
-    # theta(sum z_j) and theta(z_j - z_i) for i < j, each over i*etaD
-    later, earlier = np.tril_indices(n, -1)
-    args = np.concatenate(([np.add.reduce(zs)], zs[later] - zs[earlier]))
-    return det_prefactor(n) * complex(np.prod(theta_odd_pair(args, torus)[0] / ie))
+    theta_z = theta_odd_pair(z, params.torus)[0]
+    return _scalar(theta_z / (1j * dedekind_eta(params.tau)) * _weight_factor(lam))
 
 
 def det_residual(z: complex, lam: WeightVector) -> float:

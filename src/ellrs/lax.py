@@ -88,6 +88,8 @@ class BacklundStep:
     t_tilde: np.ndarray = field(init=False)
     C: np.ndarray = field(init=False)
     v: complex = field(init=False)
+    # the coupling and mu-mu tables of the three formulas, which _tables reuses
+    _theta: tuple = field(init=False, repr=False)
 
     def __post_init__(self, lam: WeightVector):
         mu = self.mu
@@ -97,18 +99,23 @@ class BacklundStep:
         source = PhaseConfig(lam, backlund_t(lam, mu, c, th))
         mm = _mu_table(mu, "backlund_ttilde")
         derived = dict(c=c, u=u, source=source, t_tilde=backlund_ttilde(lam, mu, c, th, mm),
-                       C=backlund_C(lam, mu, th, mm), v=u + lam.total - mu.total)
+                       C=backlund_C(lam, mu, th, mm), v=u + lam.total - mu.total, _theta=(th, mm))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         """The z-independent factors of the residuals, evaluated once per step: psi_k =
-        s_mu(lambda_k + eta/n) (eigenvector of L(u), kernel of M(u)) and the frames of L, L~, M."""
+        s_mu(lambda_k + eta/n) (eigenvector of L(u), kernel of M(u)) and the frames of L, L~, M.
+
+        psi and the numerators of the M and L~ frames are the +eta/n slices of the step's
+        coupling and mu-mu tables; the L and M frames share theta(lambda_l - lambda_k)."""
         lam, mu = self.source.lam, self.mu
-        psi = s_mu(np.moveaxis(lam.lam + lam.params.eta / lam.n, -1, 0), mu)
-        return (np.moveaxis(psi, 0, -1), _gauge_frame(lam, lam.lam, self.source.t),
-                _gauge_frame(mu, mu.lam, self.t_tilde), _gauge_frame(lam, mu.lam, self.C))
+        th, mm = self._theta
+        own = _own_table(lam)
+        mu_den = theta_table(mu.lam, mu.lam, (0,), mu.params.torus)[0][0]
+        return (np.prod(th[1], axis=-1), _gauge_frame(own[1], own[0], self.source.t),
+                _gauge_frame(mm[1], mu_den, self.t_tilde), _gauge_frame(th[1], own[0], self.C))
 
 
 def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> BacklundStep:
@@ -172,20 +179,23 @@ def lax_classical(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     """Factorized-frame L(z) as a matrix [j, i]; see module docstring."""
     lam = cfg.lam
     params = lam.params
-    pb = phi_inverse(z - v - params.eta, lam)  # [k, j]
-    p0 = phi_matrix(z - v, lam).entries  # [i, k]
-    return pb.T @ np.diag(cfg.t) @ p0.T
+    pb = phi_inverse(z - v - params.eta, lam)  # [..., k, j]
+    p0 = phi_matrix(z - v, lam).entries  # [..., i, k]
+    return (pb.swapaxes(-1, -2) * cfg.t[..., None, :]) @ p0.swapaxes(-1, -2)
 
 
-def _gauge_frame(lam: WeightVector, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _own_table(lam: WeightVector) -> np.ndarray:
+    """theta(lam_l - lam_k + delta) for delta = 0, eta/n, indexed [delta, ..., l, k]."""
+    return theta_table(lam.lam, lam.lam, (0, lam.params.eta / lam.n), lam.params.torus)[0]
+
+
+def _gauge_frame(num: np.ndarray, den: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The z-independent part of a gauge matrix, [..., k', k]:
-    prod_{l != k} theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k'."""
-    params = lam.params
-    # [..., l, k'] = theta(lam_l - rows_k' + eta/n); [..., l, k] = theta(lam_l - lam_k)
-    num = theta_table(lam.lam, rows, (params.eta / params.n,), params.torus)[0][0]
-    den = _drop_diagonal(theta_table(lam.lam, lam.lam, (0,), params.torus)[0][0])
+    prod_{l != k} theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
+    from the tables num [..., l, k'] = theta(lam_l - rows_k' + eta/n) and
+    den [..., l, k] = theta(lam_l - lam_k)."""
     own = np.prod(num, axis=-2)[..., :, None] / num.swapaxes(-1, -2)
-    return own / np.prod(den, axis=-2)[..., None, :] * weights[..., :, None]
+    return own / np.prod(_drop_diagonal(den), axis=-2)[..., None, :] * weights[..., :, None]
 
 
 def _gauge_factors(z, v, lam: WeightVector, rows: np.ndarray, what: str):
@@ -211,7 +221,8 @@ def _gauge_matrix(z, v, lam: WeightVector, rows: np.ndarray, frame: np.ndarray,
 def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     """Gauge-frame L_{k',k}(z) as a matrix [k', k]; rows carry t_{k'}."""
     lam = cfg.lam
-    return _gauge_matrix(z, v, lam, lam.lam, _gauge_frame(lam, lam.lam, cfg.t), "lax_gauge")
+    own = _own_table(lam)
+    return _gauge_matrix(z, v, lam, lam.lam, _gauge_frame(own[1], own[0], cfg.t), "lax_gauge")
 
 
 def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.ndarray:
@@ -219,8 +230,9 @@ def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.
     * prod_l theta(lam_l - mu_k' + eta/n) / prod_{l != k} theta(lam_lk) * C_k',
     with v the zero shift u + sum(lambda - mu) of the step (BacklundStep.v).
     """
-    return _gauge_matrix(z, v, lam, mu.lam, _gauge_frame(lam, mu.lam, backlund_C(lam, mu)),
-                         "m_matrix")
+    th = _coupling_table(lam, mu, "m_matrix")
+    frame = _gauge_frame(th[1], _own_table(lam)[0], backlund_C(lam, mu, th))
+    return _gauge_matrix(z, v, lam, mu.lam, frame, "m_matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,43 @@ class TestDiscreteRS:
         assert fwd < 1e-8
         assert rev < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_equation_of_motion_off_shell(self, torus_i, n):
+        # on arbitrary weights |t - t~| / (|t| + |t~|) equals the relative residual of the
+        # equation of motion written out as theta products, which share the factor t / lhs
+        params = ModelParams(n, 0.23, torus_i)
+        rng = np.random.default_rng(90 + n)
+        h = 0.23 / n
+        for _ in range(5):
+            prv, cur, nxt = (rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.4, 0.4, n)
+                             for _ in range(3))
+            cp, cc = complex(*rng.uniform(-0.3, 0.3, 2)), complex(*rng.uniform(-0.3, 0.3, 2))
+            want = 0.0
+            for k in range(n):
+                lhs = cmath.exp(cc - cp)
+                for m in range(n):
+                    if m != k:
+                        lhs *= (theta_odd(cur[m] - cur[k] + h, torus_i)
+                                / theta_odd(cur[m] - cur[k] - h, torus_i))
+                rhs = 1.0
+                for s in range(n):
+                    dn, dp = cur[k] - nxt[s], cur[k] - prv[s]
+                    rhs *= theta_odd(dn, torus_i) / theta_odd(dn + h, torus_i)
+                    rhs *= theta_odd(dp - h, torus_i) / theta_odd(dp, torus_i)
+                want = max(want, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
+            got = discrete_rs_residual(*(WeightVector(w, params) for w in (prv, cur, nxt)), cp, cc)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_trajectory_residuals_match_slices(self, fixture_lam, fixture_mu):
+        traj = Trajectory.initial(fixture_lam, backlund_t(fixture_lam, fixture_mu, 0.1), 0.1)
+        assert trajectory_residuals(traj) == []
+        for _ in range(5):
+            traj = step(traj, 0.1)
+        s = traj.steps
+        want = [discrete_rs_residual(s[a - 1].lam, s[a].lam, s[a + 1].lam, s[a - 1].c, s[a].c)
+                for a in range(1, 5)]
+        assert np.allclose(trajectory_residuals(traj), want, rtol=1e-12, atol=0)
+
     def test_n1_scalar_closed_form(self, torus_i):
         params = ModelParams(1, 0.23, torus_i)
         lam = WeightVector(np.array([0.31 + 0.06j]), params)

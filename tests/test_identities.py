@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import ellrs.elliptic as elliptic
-from ellrs import (ModelParams, PhaseConfig, SuiteConfig, TorusParams, WeightVector, lax_gauge,
-                   m_matrix, make_backlund_step, run_all, theta_odd)
+import ellrs.identities as identities
+import ellrs.intertwiners as intertwiners
+from ellrs import (ModelParams, NearSingular, PhaseConfig, SuiteConfig, TorusParams, WeightVector,
+                   lax_gauge, m_matrix, make_backlund_step, phi_matrix, run_all, theta_odd)
 from ellrs.identities import (
     _draw_backlund,
     _lemma_weights,
@@ -287,17 +289,45 @@ class TestKernelCalls:
 
     def test_backlund_tables_built_once(self, params3, fixture_lam, fixture_mu, monkeypatch):
         # a step evaluates the lambda-mu and the mu-mu table once each and shares them
-        # among t, t~ and C; the Backlund sweep makes 19 calls at any draw count
+        # among t, t~, C and the residual frames; the Backlund sweep makes 14 calls at any
+        # draw count
         step = self.count_calls(monkeypatch,
                                 lambda: make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2))
         assert len(step) == 2
         assert len(self.count_calls(monkeypatch,
-                                    lambda: check_backlund_residuals(25, 42, params3))) == 19
+                                    lambda: check_backlund_residuals(25, 42, params3))) == 14
 
     def test_no_call_exceeds_2000_elements(self, monkeypatch, torus_i):
         params = ModelParams(4, 0.23, torus_i)
         sizes = self.count_calls(monkeypatch, lambda: run_all(SuiteConfig(params=params, seed=42)))
         assert max(sizes) <= 2000
+
+
+class TestPhiRedraw:
+    def test_refused_rows_are_redrawn(self, params3, monkeypatch):
+        # a condition limit of 50 refuses about one matrix in five of both sweeps
+        monkeypatch.setattr(intertwiners, "_COND_LIMIT", 50.0)
+        inverse, calls = identities.phi_inverse, []
+
+        def spy(z, lam):
+            refused = np.flatnonzero(np.linalg.cond(phi_matrix(z, lam).entries) > 50.0)
+            calls.append((lam.lam, refused))
+            try:
+                return inverse(z, lam)
+            except NearSingular as exc:
+                assert list(exc.draws) == list(refused)
+                raise
+
+        monkeypatch.setattr(identities, "phi_inverse", spy)
+        for check in (check_commute, check_conjugation):
+            calls.clear()
+            rep = check(20, 42, params3)
+            assert rep.draws == 20 and rep.passed
+            assert sum(len(r) for _, r in calls) > 0
+        # conjugation inverts once per evaluation: only the refused rows change
+        for (before, refused), (after, _) in zip(calls, calls[1:]):
+            changed = np.flatnonzero(np.any(before != after, axis=1))
+            assert list(changed) == list(refused)
 
 
 class TestRunAll:

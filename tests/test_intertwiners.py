@@ -10,16 +10,20 @@ from ellrs import (
     DegenerateWeights,
     ModelParams,
     NearSingular,
+    PhaseConfig,
+    TorusParams,
     WeightVector,
     cross_sum_residual,
     dedekind_eta,
     det_residual,
+    lax_classical,
     phi_inverse,
     phi_matrix,
     phi_tilde0,
     theta_level,
     theta_odd,
 )
+from ellrs.intertwiners import det_phi_closed_form
 from conftest import rand_complex
 
 
@@ -57,6 +61,15 @@ class TestPhiMatrix:
         b = phi_matrix(0.2, shifted).entries
         assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
+    def test_pairings_of_a_stack_with_n_draws(self, params3, fixture_lam):
+        lam = fixture_lam.lam
+        stack = WeightVector(np.stack((lam, lam[::-1] + 0.1, 2 * lam)), params3)
+        for d in range(3):
+            one = WeightVector(stack.lam[d], params3)
+            assert np.abs(stack.pairings()[d] - one.pairings()).max() < 1e-15
+            for k in range(3):
+                assert abs(stack.pairing(k)[d] - one.pairing(k)) < 1e-15
+
     def test_degenerate_weights_rejected(self, params3):
         with pytest.raises(DegenerateWeights):
             WeightVector(np.array([0.1, 0.1, 0.4]), params3)
@@ -73,6 +86,11 @@ class TestPhiInverse:
     def test_near_singular_at_det_zero(self, fixture_lam):
         with pytest.raises(NearSingular):
             phi_inverse(1e-13, fixture_lam)
+
+    def test_refusal_names_every_refused_draw(self, fixture_lam):
+        with pytest.raises(NearSingular, match=r"z=\(1e-13\+0j\)") as exc:
+            phi_inverse(np.array([0.2, 1e-13, 0.3 + 0.1j, 1e-13]), fixture_lam)
+        assert list(exc.value.draws) == [1, 3]
 
     def test_cofactor_oracle_n2(self, params2):
         lam = WeightVector(np.array([0.21 + 0.04j, -0.33 - 0.12j]), params2)
@@ -139,6 +157,34 @@ class TestPhiTilde0:
                         rhs /= theta_odd(lam[l] - lam[k], torus_i)
                 assert abs(lhs - rhs) < 1e-9 * (abs(lhs) + abs(rhs))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_closed_form_against_mpmath(self, n, tau):
+        # theta(h) * phi(h)^-1 at h = 1e-35 with 70 digits, where it is the limit to
+        # about 35 digits; phi(h) summed from the theta_j series directly
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 70
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        lam = random_weights(np.random.default_rng(70 + n), params)
+        t, h, half = mp.mpc(tau), mp.mpf("1e-35"), mp.mpf(1) / 2
+
+        def theta(a, b, w, q_tau):
+            return mp.fsum(mp.exp(1j * mp.pi * (m + a) ** 2 * q_tau
+                                  + 2j * mp.pi * (m + a) * (w + b)) for m in range(-30, 31))
+
+        qn = mp.exp(2j * mp.pi * t)
+        ie = 1j * mp.exp(1j * mp.pi * t / 12) * mp.fprod(1 - qn ** m for m in range(1, 120))
+        lm = [mp.mpc(complex(x)) for x in lam.lam]
+        pair = [x - mp.fsum(lm) / n for x in lm]
+        phi = mp.matrix(n, n)
+        for i in range(n):
+            a = mp.mpf(n - 2 * ((i + 1) % n)) / (2 * n)
+            for k in range(n):
+                phi[i, k] = theta(a, 0, n * (h / n - pair[k] + half), n * t) / ie
+        ref = theta(half, half, h, t) * mp.inverse(phi)
+        ref = np.array([[complex(ref[k, i]) for i in range(n)] for k in range(n)])
+        assert np.abs(phi_tilde0(lam) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_n1_scalar_case(self, torus_i):
         # theta(z)*phibar(z) -> i*etaD as z -> 0 for a single weight
         params = ModelParams(1, 0.23, torus_i)
@@ -146,6 +192,32 @@ class TestPhiTilde0:
         got = phi_tilde0(lam)[0, 0]
         want = 1j * dedekind_eta(1j)
         assert abs(got - want) < 1e-9
+
+
+class TestStacks:
+    """The stacked layer against one call per draw; one draw is the case with no draw axis."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_stack_matches_loop(self, n, tau):
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        rng = np.random.default_rng(60 + n)
+        lams = [random_weights(rng, params).lam for _ in range(5)]
+        # z, z - v - eta and z - v stay clear of the lattice
+        z = np.array([0.5 + rand_complex(rng, 0.15) for _ in range(5)])
+        t = rng.uniform(0.5, 1.5, (5, n)) + 1j * rng.uniform(-0.5, 0.5, (5, n))
+        stack, v = WeightVector(np.array(lams), params), 0.05
+
+        def layer(z, lam, t):
+            return dict(phi=phi_matrix(z, lam).entries, phi_scalar_z=phi_matrix(0.3, lam).entries,
+                        phibar=phi_inverse(z, lam), det=det_phi_closed_form(z, lam),
+                        tilde=phi_tilde0(lam), lax=lax_classical(z, PhaseConfig(lam, t), v))
+
+        got = layer(z, stack, t)
+        for d in range(5):
+            for key, want in layer(z[d], WeightVector(lams[d], params), t[d]).items():
+                err = np.abs(got[key][d] - want).max() / np.abs(want).max()
+                assert err <= 1e-13, (key, d, err)
 
 
 class TestDetFormula:
