@@ -182,8 +182,8 @@ def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scalar(values: np.ndarray):
-    """A complex for a 0-d result, else the array itself."""
-    return complex(values) if values.ndim == 0 else values
+    """A Python number for a 0-d result, else the array itself."""
+    return values.item() if values.ndim == 0 else values
 
 
 def theta_odd_pair(z, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:

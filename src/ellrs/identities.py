@@ -3,9 +3,11 @@
 Each check evaluates its left and right sides through disjoint call paths
 (matrix inversions on one side, bare theta products on the other, and so on)
 so a single implementation bug cannot cancel out of both sides.  Draws are
-uniform over the fundamental cell and rejection-resampled a fixed distance
-away from every theta zero that appears in a denominator, which keeps the
-condition numbers bounded and the fixed tolerances meaningful.
+uniform over the fundamental cell and rejection-resampled (_retry) a fixed
+distance away from every theta zero that appears in a denominator, which keeps
+the condition numbers bounded and the fixed tolerances meaningful.  Every check
+draws its rows in sweep order (_columns), evaluates one stacked residual over
+them, and reports its worst draw (_report).
 
 The functional relation and the interpolation identity carry an explicit
 theta'(0) factor on the product side; the bare odd theta has
@@ -60,18 +62,6 @@ class IdentityReport:
     tol: float
     passed: bool
 
-    @classmethod
-    def from_sweep(cls, name, draws, max_residual, worst, seed, tol):
-        return cls(
-            identity_name=name,
-            draws=draws,
-            max_residual=float(max_residual),
-            worst_params=json.dumps(worst, sort_keys=True),
-            seed=int(seed),
-            tol=float(tol),
-            passed=bool(max_residual < tol),
-        )
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -88,24 +78,26 @@ def _rng_for(name: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(name.encode())])
 
 
-def _cx(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _draw_cell(rng: np.random.Generator, tau: complex) -> complex:
     # uniform over the cell: z = x + y*tau with x, y in [0, 1)
     return rng.uniform() + rng.uniform() * tau
 
 
-def draw_generic(rng: np.random.Generator, tau: complex, avoid=(), min_dist=_MIN_ZERO_DIST):
-    """Cell-uniform draw, resampled until it clears the lattice and every
-    avoid-point mod lattice."""
-    centers = np.array([0, *avoid], dtype=complex)
+def _retry(draw, guarded, tau: complex, what: str):
+    """The first draw() whose guarded(candidate) points all lie _MIN_ZERO_DIST or more
+    from the lattice, within _MAX_RETRIES attempts."""
     for _ in range(_MAX_RETRIES):
-        z = _draw_cell(rng, tau)
-        if lattice_distance(z - centers, tau).min() >= min_dist:
-            return z
-    raise RuntimeError("rejection sampling exhausted; avoid set too dense")
+        candidate = draw()
+        if lattice_distance(guarded(candidate), tau).min() >= _MIN_ZERO_DIST:
+            return candidate
+    raise RuntimeError(f"could not draw {what}")
+
+
+def draw_generic(rng: np.random.Generator, tau: complex, avoid=()):
+    """A cell-uniform draw that clears the lattice and every avoid-point mod lattice."""
+    centers = np.array([0, *avoid], dtype=complex)
+    return _retry(lambda: _draw_cell(rng, tau), lambda z: z - centers, tau,
+                  "a generic point (avoid set too dense)")
 
 
 def _draw_points(rng, tau: complex, count: int, avoid=(), shifts=(0,)) -> list[complex]:
@@ -119,6 +111,13 @@ def _draw_points(rng, tau: complex, count: int, avoid=(), shifts=(0,)) -> list[c
 def _spread(params: ModelParams) -> tuple:
     """Shifts for _draw_points that also clear the +-eta/n offsets of gauge-frame denominators."""
     return (0, params.eta / params.n, -params.eta / params.n)
+
+
+def _columns(draws: int, draw_row) -> list[np.ndarray]:
+    """The columns of `draws` rows of draw_row(), drawn in sweep order, stacked [draw, ...]."""
+    if draws < 1:
+        raise ValueError(f"a sweep needs at least one draw, got {draws}")
+    return [np.array(column) for column in zip(*(draw_row() for _ in range(draws)))]
 
 
 def _diffs(a, b) -> np.ndarray:
@@ -137,30 +136,38 @@ def _phi_sweep(params: ModelParams, draws: int, draw_row, sides):
     sides evaluates phi and phibar once over the stack; the rows whose phibar is refused as
     NearSingular are redrawn in place and the stack is evaluated again.
     """
-    rows = [draw_row() for _ in range(draws)]
+    lam, z = _columns(draws, draw_row)
     for _ in range(_MAX_RETRIES):
-        lam = np.array([r[0] for r in rows], dtype=complex).reshape(draws, params.n)
-        z = np.array([r[1] for r in rows], dtype=complex)
         try:
             return lam, z, sides(WeightVector(lam, params), z)
         except NearSingular as exc:
             for d in exc.draws:
-                rows[d] = draw_row()
+                lam[d], z[d] = draw_row()
     raise RuntimeError("could not draw a well-conditioned phi sweep")
 
 
-def _report(name, residuals, describe, seed, tol) -> IdentityReport:
-    """Report of a sweep from its residuals, indexed [draw, ...] in sweep order.
+def _report(name, residuals, seed, tol, axes=(), **columns) -> IdentityReport:
+    """Report of a sweep from its residuals, indexed [draw, *axes] in sweep order.
 
-    The worst entry is the first maximum, as a running strict maximum over the
-    sweep finds it; describe(index) gives its worst_params.
+    The worst entry is the first maximum, as a running strict maximum over the sweep
+    finds it.  Its worst_params hold the value of every draw column (indexed [draw, ...])
+    at its draw, [re, im] for each complex number, and its trailing residual indices under
+    the names in axes.
     """
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.size == 0:
-        return IdentityReport.from_sweep(name, len(residuals), -1.0, {}, seed, tol)
     where = np.unravel_index(np.argmax(residuals), residuals.shape)
-    return IdentityReport.from_sweep(name, len(residuals), residuals[where],
-                                     describe(*map(int, where)), seed, tol)
+    max_residual = float(residuals[where])
+    worst = dict(zip(axes, map(int, where[1:])))
+    for key, column in columns.items():
+        v = column[where[0]]
+        worst[key] = (np.stack((v.real, v.imag), -1) if np.iscomplexobj(v) else v).tolist()
+    return _summary(name, len(residuals), max_residual, worst, seed, tol)
+
+
+def _summary(name, draws, max_residual, worst, seed, tol) -> IdentityReport:
+    """The report with plain Python fields; it passes when max_residual < tol."""
+    return IdentityReport(name, draws, max_residual, json.dumps(worst, sort_keys=True), int(seed),
+                          float(tol), bool(max_residual < tol))
 
 
 # ---------------------------------------------------------------------------
@@ -173,42 +180,38 @@ def check_functional_relation(draws: int, seed: int, torus: TorusParams,
     rng = _rng_for("functional_relation", seed)
     tau = torus.tau
     tp0 = theta_odd_deriv(0.0, torus)
-    points = []
-    for _ in range(draws):
+
+    def row():
         z = draw_generic(rng, tau)
         x = draw_generic(rng, tau, avoid=(-z,))
         # keep x+y and z+x+y away from the zero sets on both sides
-        y = draw_generic(rng, tau, avoid=(-z, -x, -x - z))
-        points.append((z, x, y))
-    z, x, y = np.array(points, dtype=complex).reshape(draws, 3).T
+        return z, x, draw_generic(rng, tau, avoid=(-z, -x, -x - z))
+
+    z, x, y = _columns(draws, row)
     th, dth = theta_odd_pair(np.stack((z, x, y, x + y, z + x, z + y, z + x + y)), torus)
     zeta = dth / th
     # Phi_z(w) = theta(z+w) / (theta(z) theta(w))
     lhs = tp0 * th[4] / (th[0] * th[1]) * th[5] / (th[0] * th[2])
     rhs = th[6] / (th[0] * th[3]) * (zeta[0] + zeta[1] + zeta[2] - zeta[6])
-    return _report("functional_relation", _rel_diff(lhs, rhs),
-                   lambda d: {"z": _cx(z[d]), "x": _cx(x[d]), "y": _cx(y[d])}, seed, tol)
+    return _report("functional_relation", _rel_diff(lhs, rhs), seed, tol, z=z, x=x, y=y)
 
 
 def _constrained_points(rng, tau, count):
     """x_i, y_i with sum(x - y) = 0, all mutual differences kept generic."""
-    for _ in range(_MAX_RETRIES):
+    def draw():
         ys = _draw_points(rng, tau, count)
         xs = _draw_points(rng, tau, count - 1, avoid=ys)
-        closing = sum(ys) - sum(xs)
-        if lattice_distance(closing - np.array([0, *ys, *xs]), tau).min() >= _MIN_ZERO_DIST:
-            return xs + [closing], ys
-    raise RuntimeError("could not draw a constrained point set")
+        return xs + [sum(ys) - sum(xs)], ys
+
+    # the closing x_N = sum(y) - sum(x_<N) must clear the lattice, the y and the other x
+    return _retry(draw, lambda p: p[0][-1] - np.array([0, *p[1], *p[0][:-1]]), tau,
+                  "a constrained point set")
 
 
 def _lagrange_weights(xs, ys, torus: TorusParams) -> np.ndarray:
     """w_i = prod_j theta(y_i - x_j) / prod_{j != i} theta(y_i - y_j), over stacked draws."""
     th = theta_odd_pair(np.stack((_diffs(ys, xs), _diffs(ys, ys))), torus)[0]
     return np.prod(th[0], axis=-1) / np.prod(_drop_diagonal(th[1]), axis=-1)
-
-
-def _describe_xy(xs, ys):
-    return lambda d: {"x": [_cx(x) for x in xs[d]], "y": [_cx(y) for y in ys[d]]}
 
 
 def check_lagrange(N: int, draws: int, seed: int, torus: TorusParams,
@@ -224,23 +227,19 @@ def check_lagrange(N: int, draws: int, seed: int, torus: TorusParams,
     tau = torus.tau
     if N == 1:
         # the constraint forces x_1 = y_1; both sides collapse to theta'(0)
-        return IdentityReport.from_sweep(name, 0, 0.0, {"note": "degenerate N=1"}, seed, tol)
+        return _summary(name, 0, 0.0, {"note": "degenerate N=1"}, seed, tol)
     tp0 = theta_odd_deriv(0.0, torus)
-    xs, ys, zs = [], [], []
-    for _ in range(draws):
+
+    def row():
         x, y = _constrained_points(rng, tau, N)
-        zs.append(draw_generic(rng, tau, avoid=x + y))
-        xs.append(x)
-        ys.append(y)
-    xs, ys = np.array(xs, dtype=complex).reshape(draws, N), np.array(ys, dtype=complex).reshape(draws, N)
-    z = np.array(zs, dtype=complex)[:, None]
-    th, dth = theta_odd_pair(np.stack((z - xs, z - ys, xs[:, :1] - ys)), torus)
+        return x, y, draw_generic(rng, tau, avoid=x + y)
+
+    xs, ys, z = _columns(draws, row)
+    th, dth = theta_odd_pair(np.stack((z[:, None] - xs, z[:, None] - ys, xs[:, :1] - ys)), torus)
     zeta = dth / th
     lhs = tp0 * np.prod(th[0] / th[1], axis=-1)
     rhs = np.sum((zeta[1] - zeta[2]) * _lagrange_weights(xs, ys, torus), axis=-1)
-    describe = _describe_xy(xs, ys)
-    return _report(name, _rel_diff(lhs, rhs),
-                   lambda d: dict(describe(d), z=_cx(zs[d])), seed, tol)
+    return _report(name, _rel_diff(lhs, rhs), seed, tol, x=xs, y=ys, z=z)
 
 
 def check_null_sum(N: int, draws: int, seed: int, torus: TorusParams,
@@ -252,14 +251,13 @@ def check_null_sum(N: int, draws: int, seed: int, torus: TorusParams,
     tau = torus.tau
     if N == 1:
         # single term theta(y_1 - x_1) = theta(0) = 0 exactly
-        ys = np.array([[draw_generic(rng, tau)] for _ in range(draws)], dtype=complex)
+        (ys,) = _columns(draws, lambda: ([draw_generic(rng, tau)],))
         residuals = np.full(draws, abs(theta_odd_pair(0.0, torus)[0]) / (1.0 + 1e-300))
-        return _report(name, residuals, _describe_xy(ys, ys), seed, tol)
-    pts = np.array([_constrained_points(rng, tau, N) for _ in range(draws)], dtype=complex)
-    xs, ys = pts.reshape(draws, 2, N).transpose(1, 0, 2)
+        return _report(name, residuals, seed, tol, x=ys, y=ys)
+    xs, ys = _columns(draws, lambda: _constrained_points(rng, tau, N))
     w = _lagrange_weights(xs, ys, torus)
     residuals = np.abs(np.sum(w, axis=-1)) / (np.abs(w).max(axis=-1, initial=0.0) + 1e-300)
-    return _report(name, residuals, _describe_xy(xs, ys), seed, tol)
+    return _report(name, residuals, seed, tol, x=xs, y=ys)
 
 
 def _lemma_weights(xs, ys, xi, torus: TorusParams) -> tuple[np.ndarray, np.ndarray]:
@@ -294,22 +292,16 @@ def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
     name = f"lemma_N{N}"
     rng = _rng_for(name, seed)
     tau = torus.tau
-    rows = []
-    for _ in range(draws):
+
+    def row():
         ys = _draw_points(rng, tau, N)
         xs = _draw_points(rng, tau, N, avoid=ys)
-        xi = draw_generic(rng, tau, avoid=[a - b for a in ys + xs for b in ys + xs])
-        z = draw_generic(
-            rng, tau,
-            avoid=[-(a - b + xi) for a in ys + xs for b in ys + xs] + [-xi],
-        )
-        i0 = int(rng.integers(N))
-        k0 = int(rng.integers(N))
-        rows.append((ys, xs, xi, z, i0, k0))
-    ys = np.array([r[0] for r in rows], dtype=complex).reshape(draws, N)
-    xs = np.array([r[1] for r in rows], dtype=complex).reshape(draws, N)
-    xi, z = (np.array([r[c] for r in rows], dtype=complex) for c in (2, 3))
-    i0, k0 = (np.array([r[c] for r in rows], dtype=int) for c in (4, 5))
+        pts = ys + xs
+        xi = draw_generic(rng, tau, avoid=[a - b for a in pts for b in pts])
+        z = draw_generic(rng, tau, avoid=[-(a - b + xi) for a in pts for b in pts] + [-xi])
+        return ys, xs, xi, z, int(rng.integers(N)), int(rng.integers(N))
+
+    ys, xs, xi, z, i0, k0 = _columns(draws, row)
     wy, wx = _lemma_weights(xs, ys, xi, torus)
     # Phi_z and zeta arguments, [d, j]: left y_i - y_j + xi, y_j - x_k + xi;
     # right y_i - x_j + xi, x_j - x_k + xi
@@ -324,10 +316,7 @@ def check_lemma(N: int, draws: int, seed: int, torus: TorusParams,
         _rel_diff(((zeta[0] + zeta[1]) * wy).sum(axis=1), ((zeta[2] + zeta[3]) * wx).sum(axis=1)),
         _rel_diff((phi[0] * phi[1] * wy).sum(axis=1), (phi[2] * phi[3] * wx).sum(axis=1)),
     ], axis=0)
-    return _report(name, residuals, lambda d: {
-        "x": [_cx(x) for x in xs[d]], "y": [_cx(y) for y in ys[d]],
-        "xi": _cx(xi[d]), "z": _cx(z[d]), "i": int(i0[d]), "k": int(k0[d]),
-    }, seed, tol)
+    return _report(name, residuals, seed, tol, x=xs, y=ys, xi=xi, z=z, i=i0, k=k0)
 
 
 def check_commute(draws: int, seed: int, params: ModelParams,
@@ -361,10 +350,8 @@ def check_commute(draws: int, seed: int, params: ModelParams,
     #                  * prod_l th1[l, k'] / prod_l th1[k, l]
     pref = (np.prod(own, axis=2)[:, None, :] / np.prod(own, axis=1)[:, :, None]
             * np.prod(th[1], axis=1)[:, None, :] / np.prod(th[1], axis=2)[:, :, None])
-    residuals = _rel_diff(lhs, pref * sums)
-    return _report("commute", residuals, lambda d, k, kp: {
-        "lambda": [_cx(x) for x in lam[d]], "z_minus_v": _cx(zvs[d]), "k": k, "kprime": kp,
-    }, seed, tol)
+    return _report("commute", _rel_diff(lhs, pref * sums), seed, tol, ("k", "kprime"),
+                   **{"lambda": lam, "z_minus_v": zvs})
 
 
 def check_det_formula(n: int, draws: int, seed: int, params: ModelParams,
@@ -374,15 +361,12 @@ def check_det_formula(n: int, draws: int, seed: int, params: ModelParams,
     rng = _rng_for(name, seed)
     if params.n != n:
         params = ModelParams(n, params.eta, params.torus)
-    tau = params.tau
-    zs = np.array([_draw_points(rng, tau, n) for _ in range(draws)], dtype=complex)
-    zs = zs.reshape(draws, n)
-    mat = theta_level(np.arange(1, n + 1)[:, None], zs[:, None, :], params)
-    det = np.linalg.det(mat.reshape(draws, n, n))
+    (zs,) = _columns(draws, lambda: (_draw_points(rng, params.tau, n),))
+    det = np.linalg.det(theta_level(np.arange(1, n + 1)[:, None], zs[:, None, :], params))
     # the closed form of det phi at the weights -z_j, pulled back to det(theta) by (i*etaD)^n
-    rhs = (1j * dedekind_eta(tau)) ** n * det_phi_closed_form(zs.sum(axis=1),
+    rhs = (1j * dedekind_eta(params.tau)) ** n * det_phi_closed_form(zs.sum(axis=1),
                                                               WeightVector(-zs, params))
-    return _report(name, _rel_diff(det, rhs), lambda d: {"z": [_cx(z) for z in zs[d]]}, seed, tol)
+    return _report(name, _rel_diff(det, rhs), seed, tol, z=zs)
 
 
 def check_conjugation(draws: int, seed: int, params: ModelParams,
@@ -400,36 +384,30 @@ def check_conjugation(draws: int, seed: int, params: ModelParams,
         lambda lam, z: phi_inverse(z, lam) @ phi_matrix(z + eta, lam).entries)  # [k, k']
     # the right side is the gauge-frame L, transposed, at z + eta with v = 0 and unit weights
     rhs = lax_gauge(z + eta, PhaseConfig(WeightVector(lam, params), np.ones((draws, n))), 0)
-    residuals = _rel_diff(lhs, rhs.swapaxes(-1, -2))
-    return _report("conjugation", residuals, lambda d, k, kp: {
-        "lambda": [_cx(x) for x in lam[d]], "z": _cx(z[d]), "k": k, "kprime": kp,
-    }, seed, tol)
+    return _report("conjugation", _rel_diff(lhs, rhs.swapaxes(-1, -2)), seed, tol,
+                   ("k", "kprime"), **{"lambda": lam, "z": z})
 
 
 def check_ks(draws: int, seed: int, params: ModelParams, tol: float = 1e-9) -> IdentityReport:
     """The closing theta identity behind the eigenvector computation."""
     rng = _rng_for("ks_identity", seed)
-    tau = params.tau
-    n = params.n
-    rows = []
-    while len(rows) < draws:
+    tau, n = params.tau, params.n
+
+    def draw():
         xs = _draw_points(rng, tau, n)
         ys = _draw_points(rng, tau, n, avoid=xs, shifts=())
         xi = draw_generic(rng, tau, avoid=[a - b for a in xs for b in xs])
-        kp = int(rng.integers(n))
-        # keep the constrained z off the lattice so the scale stays bounded
-        z = n * xi + sum(xs) - sum(ys)
-        if lattice_distance(z, tau) < _MIN_ZERO_DIST:
-            continue
-        rows.append((xs, ys, xi, kp))
-    xs, ys = (np.array([r[c] for r in rows], dtype=complex).reshape(draws, n) for c in (0, 1))
-    lhs, rhs = _ks_sides(xs, ys, np.array([r[2] for r in rows], dtype=complex),
-                         np.array([r[3] for r in rows], dtype=int), params.torus)
+        return xs, ys, xi, int(rng.integers(n))
+
+    # keep the constrained z = n xi + sum(x) - sum(y) off the lattice so the scale stays bounded
+    def row():
+        return _retry(draw, lambda r: n * r[2] + sum(r[0]) - sum(r[1]), tau, "a KS row")
+
+    xs, ys, xi, kp = _columns(draws, row)
+    lhs, rhs = _ks_sides(xs, ys, xi, kp, params.torus)
     # relative to |rhs| = |theta(z)| prod_s |theta(x_k' - y_s)|
-    return _report("ks_identity", np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300), lambda d: {
-        "x": [_cx(x) for x in rows[d][0]], "y": [_cx(y) for y in rows[d][1]],
-        "xi": _cx(rows[d][2]), "kprime": rows[d][3],
-    }, seed, tol)
+    return _report("ks_identity", np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300), seed, tol,
+                   x=xs, y=ys, xi=xi, kprime=kp)
 
 
 def _draw_backlund(rng, params):
@@ -439,16 +417,16 @@ def _draw_backlund(rng, params):
     lambda pairwise, u - v - eta) is kept _MIN_ZERO_DIST from the lattice by the avoid sets,
     far outside the guards of the step formulas."""
     tau, n, spread = params.tau, params.n, _spread(params)
-    for _ in range(_MAX_RETRIES):
+
+    def draw():
         lam = np.array(_draw_points(rng, tau, n, shifts=spread))
         mu = np.array(_draw_points(rng, tau, n, avoid=[*lam, *(lam + spread[1])], shifts=spread))
         c = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        u = _draw_cell(rng, tau)
-        # the gauge matrices divide by theta(u - v - eta)
-        if lattice_distance(-(np.add.reduce(lam) - np.add.reduce(mu)) - params.eta,
-                            tau) >= _MIN_ZERO_DIST:
-            return lam, mu, c, u
-    raise RuntimeError("could not draw a generic Backlund step")
+        return lam, mu, c, _draw_cell(rng, tau)
+
+    # the gauge matrices divide by theta(u - v - eta) = theta(sum(mu) - sum(lambda) - eta)
+    return _retry(draw, lambda s: -(np.add.reduce(s[0]) - np.add.reduce(s[1])) - params.eta, tau,
+                  "a generic Backlund step")
 
 
 def check_backlund_residuals(draws: int, seed: int, params: ModelParams,
@@ -458,32 +436,27 @@ def check_backlund_residuals(draws: int, seed: int, params: ModelParams,
     Returns the three aggregated reports (eigenvector, kernel, lax_equation).
     """
     rng = _rng_for("backlund_residuals", seed)
-    rows, zs = [], []
-    for _ in range(draws):
-        rows.append(_draw_backlund(rng, params))
-        lam, mu, _, u = rows[-1]
+
+    def row():
+        lam, mu, c, u = _draw_backlund(rng, params)
         v = u + np.add.reduce(lam) - np.add.reduce(mu)  # the zero shift of the step
-        zs.append(draw_generic(rng, params.tau, avoid=(v + params.eta,)))
-    lam, mu, c, u = (np.array([r[i] for r in rows], dtype=complex) for i in range(4))
-    lam, mu = (WeightVector(w.reshape(draws, params.n), params) for w in (lam, mu))
-    step = make_backlund_step(lam, mu, c, u)
+        return lam, mu, c, u, draw_generic(rng, params.tau, avoid=(v + params.eta,))
+
+    lam, mu, c, u, z = _columns(draws, row)
+    step = make_backlund_step(WeightVector(lam, params), WeightVector(mu, params), c, u)
     residuals = np.stack((eigenvector_residual(step), kernel_residual(step),
-                          lax_equation_residual(np.array(zs, dtype=complex), step)), axis=-1)
-    records = [{"lambda": [_cx(x) for x in lam.lam[d]], "mu": [_cx(x) for x in mu.lam[d]],
-                "c": _cx(c[d]), "u": _cx(u[d])} for d in range(draws)]
-    return (_report("eigenvector", residuals[:, 0], records.__getitem__, seed, tol),
-            _report("kernel", residuals[:, 1], records.__getitem__, seed, tol),
-            _report("lax_equation", residuals[:, 2], lambda d: dict(records[d], z=_cx(zs[d])),
-                    seed, tol))
+                          lax_equation_residual(z, step)), axis=-1)
+    data = {"lambda": lam, "mu": mu, "c": c, "u": u}
+    return (_report("eigenvector", residuals[:, 0], seed, tol, **data),
+            _report("kernel", residuals[:, 1], seed, tol, **data),
+            _report("lax_equation", residuals[:, 2], seed, tol, z=z, **data))
 
 
 def check_ybe(draws: int, seed: int, params: ModelParams, tol: float = 1e-8) -> IdentityReport:
     """Yang-Baxter residual for the Belavin R-matrix at random (z, w)."""
     rng = _rng_for("ybe", seed)
-    points = [(_draw_cell(rng, params.tau), _draw_cell(rng, params.tau)) for _ in range(draws)]
-    residuals = [ybe_residual(z, w, params) for z, w in points]
-    return _report("ybe", residuals, lambda d: {"z": _cx(points[d][0]), "w": _cx(points[d][1])},
-                   seed, tol)
+    z, w = _columns(draws, lambda: (_draw_cell(rng, params.tau), _draw_cell(rng, params.tau)))
+    return _report("ybe", [ybe_residual(a, b, params) for a, b in zip(z, w)], seed, tol, z=z, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -494,29 +467,26 @@ def run_all(config: SuiteConfig) -> list[IdentityReport]:
     """Run every identity check plus the Lax-side residual suite and the YBE.
 
     Deterministic for a fixed seed: each check owns an rng stream derived
-    from (seed, check name), and reports are merged by identity name.
+    from (seed, check name), and reports are merged by identity name.  Each
+    check keeps its own default tolerance unless config.tol is set.
     """
-    params = config.params
-    torus = params.torus
-    seed = config.seed
-
-    def tol(default):
-        return config.tol if config.tol is not None else default
+    params, seed, torus = config.params, config.seed, config.params.torus
+    tol = {} if config.tol is None else {"tol": config.tol}
 
     def ndraws(default):
         return config.draws if config.draws is not None else default
 
     reports = [
-        check_functional_relation(ndraws(100), seed, torus, tol(1e-9)),
-        check_lagrange(3, ndraws(50), seed, torus, tol(1e-9)),
-        check_null_sum(3, ndraws(50), seed, torus, tol(1e-9)),
-        check_lemma(3, ndraws(30), seed, torus, tol(1e-9)),
-        check_commute(ndraws(20), seed, params, tol(1e-8)),
-        check_det_formula(params.n, ndraws(50), seed, params, tol(1e-9)),
-        check_conjugation(ndraws(20), seed, params, tol(1e-9)),
-        check_ks(ndraws(50), seed, params, tol(1e-9)),
-        *check_backlund_residuals(ndraws(25), seed, params, tol(1e-8)),
-        check_ybe(ndraws(15), seed, params, tol(1e-8)),
+        check_functional_relation(ndraws(100), seed, torus, **tol),
+        check_lagrange(3, ndraws(50), seed, torus, **tol),
+        check_null_sum(3, ndraws(50), seed, torus, **tol),
+        check_lemma(3, ndraws(30), seed, torus, **tol),
+        check_commute(ndraws(20), seed, params, **tol),
+        check_det_formula(params.n, ndraws(50), seed, params, **tol),
+        check_conjugation(ndraws(20), seed, params, **tol),
+        check_ks(ndraws(50), seed, params, **tol),
+        *check_backlund_residuals(ndraws(25), seed, params, **tol),
+        check_ybe(ndraws(15), seed, params, **tol),
     ]
     reports.sort(key=lambda rep: rep.identity_name)
     return reports

@@ -146,21 +146,15 @@ def det_phi_closed_form(z, lam: WeightVector):
     return _scalar(theta_z / (1j * dedekind_eta(params.tau)) * _weight_factor(lam))
 
 
-def det_residual(z: complex, lam: WeightVector) -> float:
-    """|det phi(z) - closed form|, both sides evaluated independently."""
-    det = complex(np.linalg.det(phi_matrix(z, lam).entries))
-    return abs(det - det_phi_closed_form(z, lam))
+def det_residual(z, lam: WeightVector):
+    """|det phi(z) - closed form|, both sides evaluated independently; one float per draw
+    for a stack, with z broadcast against its draw axes."""
+    return _scalar(np.abs(np.linalg.det(phi_matrix(z, lam).entries) - det_phi_closed_form(z, lam)))
 
 
-def cross_sum_residual(
-    z: complex,
-    u: complex,
-    lam: WeightVector,
-    mu: WeightVector,
-    k: int,
-    k2: int,
-) -> float:
-    """Residual of the cross-sum formula
+def cross_sum_residual(z, u, lam: WeightVector, mu: WeightVector, k: int, k2: int):
+    """Residual of the cross-sum formula, one float per draw for a stack (z, u broadcast
+    against the draw axes of lam and mu):
 
     sum_i phibar(z)[mu; k, i] * phi(z+u)[lam; i, k2]
         = theta(z + u/n + <mu,ebar_k> - <lam,ebar_k2>) / theta(z)
@@ -169,17 +163,14 @@ def cross_sum_residual(
     The left side goes through the matrix inverse, the right side through
     theta products only, so the two paths share no intermediate.
     """
-    params = lam.params
-    n = params.n
-    torus = params.torus
-    pb = phi_inverse(z, mu)
-    pu = phi_matrix(z + u, lam).entries
-    lhs = complex(np.add.reduce(pb[k, :] * pu[:, k2]))
-    pl = lam.pairings()
+    n = lam.n
+    lhs = np.add.reduce(phi_inverse(z, mu)[..., k, :] * phi_matrix(z + u, lam).entries[..., :, k2],
+                        axis=-1)
     pm = mu.pairings()
-    others = np.arange(n) != k
-    th = theta_odd_pair(np.concatenate((
-        [z + u / n + pm[k] - pl[k2], z], u / n + pm[others] - pl[k2], pm[others] - pm[k],
-    )), torus)[0]
-    rhs = th[0] / th[1] * np.prod(th[2:n + 1] / th[n + 1:])
-    return abs(lhs - rhs)
+    z, at_k = np.asarray(z)[..., None], np.arange(n) == k
+    # [..., l] = theta(u/n + <mu,ebar_l> - <lam,ebar_k2>) / theta(mu_l - mu_k), with z added
+    # to the numerator and standing for the denominator at l = k
+    num = np.asarray(u)[..., None] / n + pm - lam.pairings()[..., k2, None] + np.where(at_k, z, 0)
+    den = np.where(at_k, z, pm - pm[..., k, None])
+    th = theta_odd_pair(np.stack(np.broadcast_arrays(num, den)), lam.params.torus)[0]
+    return _scalar(np.abs(lhs - np.prod(th[0] / th[1], axis=-1)))

@@ -368,8 +368,8 @@ def _log_theta_antiderivative(x: np.ndarray, tau: complex) -> np.ndarray:
     return x * log_a - 0.5j * math.pi * x * x + series / (2j * math.pi)
 
 
-def generating_function(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> complex:
-    """Scalar potential F of the Backlund map, with
+def generating_function(lam: WeightVector, mu: WeightVector, c, u):
+    """Scalar potential F of the Backlund map, one per draw for a stack, with
 
         exp( dF/dlambda_k) = t_k,
         exp(-dF/dmu_k)     = t~_k,
@@ -389,13 +389,15 @@ def generating_function(lam: WeightVector, mu: WeightVector, c: complex, u: comp
     """
     params = lam.params
     n, h = params.n, params.eta / params.n
-    d = (lam.lam[:, None] - mu.lam[None, :]).ravel()
+    d = lam.lam[..., :, None] - mu.lam[..., None, :]
+    draws = d.shape[:-2]
     k, kp = np.triu_indices(n, 1)
-    e = mu.lam[k] - mu.lam[kp]
+    e = np.broadcast_to(mu.lam[..., k] - mu.lam[..., kp], draws + k.shape)
     # the first half enters F with +1, the second with -1
-    args = np.concatenate((d + h, e - h, d, e + h))
+    args = np.concatenate([a.reshape(draws + (-1,)) for a in (d + h, e - h, d, e + h)], axis=-1)
     lattice_guard(args, params.tau, "generating_function: argument of S", _PATH_CLEARANCE,
                   PathThroughZero)
     s = _log_theta_antiderivative(args, params.tau)
-    half = args.size // 2
-    return complex(s[:half].sum() - s[half:].sum() + c * (u + lam.total - mu.total))
+    half = args.shape[-1] // 2
+    return _scalar(s[..., :half].sum(axis=-1) - s[..., half:].sum(axis=-1)
+                   + c * (u + lam.total - mu.total))

@@ -1,6 +1,7 @@
 """Identity harness tests: per-check sweeps, suite determinism, failure probe."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +43,23 @@ EXPECTED_NAMES = {
     "lemma_N3",
     "null_sum_N3",
     "ybe",
+}
+
+# worst_params keys of every report of a default run_all; the benchmark re-evaluates the
+# functional relation at its z, x, y and the determinant formula at its z
+WORST_KEYS = {
+    "commute": {"k", "kprime", "lambda", "z_minus_v"},
+    "conjugation": {"k", "kprime", "lambda", "z"},
+    "det_formula_n{n}": {"z"},
+    "eigenvector": {"c", "lambda", "mu", "u"},
+    "functional_relation": {"x", "y", "z"},
+    "kernel": {"c", "lambda", "mu", "u"},
+    "ks_identity": {"kprime", "x", "xi", "y"},
+    "lagrange_N3": {"x", "y", "z"},
+    "lax_equation": {"c", "lambda", "mu", "u", "z"},
+    "lemma_N3": {"i", "k", "x", "xi", "y", "z"},
+    "null_sum_N3": {"x", "y"},
+    "ybe": {"w", "z"},
 }
 
 
@@ -297,6 +315,21 @@ class TestKernelCalls:
         assert len(self.count_calls(monkeypatch,
                                     lambda: check_backlund_residuals(25, 42, params3))) == 14
 
+    def test_lattice_distance_calls_of_a_default_run(self, params3, monkeypatch):
+        # one distance call per rejection-sampling candidate: 2,128 at n = 3, seed 42
+        calls, original = [], elliptic.lattice_distance
+
+        def counted(z, tau):
+            calls.append(z)
+            return original(z, tau)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ellrs") and getattr(module, "lattice_distance",
+                                                                None) is original:
+                monkeypatch.setattr(module, "lattice_distance", counted)
+        run_all(SuiteConfig(params=params3, seed=42))
+        assert 0 < len(calls) <= 2128
+
     def test_no_call_exceeds_2000_elements(self, monkeypatch, torus_i):
         params = ModelParams(4, 0.23, torus_i)
         sizes = self.count_calls(monkeypatch, lambda: run_all(SuiteConfig(params=params, seed=42)))
@@ -340,6 +373,18 @@ class TestRunAll:
         names = [r.identity_name for r in reports]
         assert names == sorted(names)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_worst_params_keys(self, n, torus_i):
+        reports = run_all(SuiteConfig(params=ModelParams(n, 0.23, torus_i), seed=42))
+        worst = {r.identity_name: json.loads(r.worst_params) for r in reports}
+        assert {name: set(w) for name, w in worst.items()} == {
+            name.format(n=n): keys for name, keys in WORST_KEYS.items()}
+        # complex values as [re, im], weight rows as lists of them, indices as ints
+        assert all(len(worst["functional_relation"][key]) == 2 for key in "xyz")
+        assert np.array(worst[f"det_formula_n{n}"]["z"]).shape == (n, 2)
+        assert np.array(worst["commute"]["lambda"]).shape == (n, 2)
+        assert all(isinstance(worst["lemma_N3"][key], int) for key in "ik")
+
     def test_seed_reproducibility(self, params3):
         a = run_all(SuiteConfig(params=params3, seed=42, draws=5))
         b = run_all(SuiteConfig(params=params3, seed=42, draws=5))
@@ -353,6 +398,14 @@ class TestRunAll:
     def test_tight_tolerance_detects_floor(self, params3):
         reports = run_all(SuiteConfig(params=params3, seed=42, tol=1e-15, draws=5))
         assert any(not r.passed for r in reports)
+
+    def test_zero_draws_refused(self, params3):
+        # a sweep without draws has no residual to report
+        with pytest.raises(ValueError, match="at least one draw"):
+            run_all(SuiteConfig(params=params3, seed=42, draws=0))
+        for check in (check_ybe, check_ks, check_commute):
+            with pytest.raises(ValueError, match="at least one draw"):
+                check(0, 42, params3)
 
     def test_passed_iff_below_tol(self, params3):
         for rep in run_all(SuiteConfig(params=params3, seed=1, draws=3)):

@@ -219,6 +219,29 @@ class TestStacks:
                 err = np.abs(got[key][d] - want).max() / np.abs(want).max()
                 assert err <= 1e-13, (key, d, err)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_residuals_of_a_stack(self, n, tau):
+        # one residual per draw, as one call per draw gives it, and small for every draw
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        rng = np.random.default_rng(70 + n)
+        lams = [random_weights(rng, params).lam for _ in range(4)]
+        mus = [random_weights(rng, params).lam for _ in range(4)]
+        z = np.array([0.5 + rand_complex(rng, 0.15) for _ in range(4)])
+        u = np.array([rand_complex(rng, 0.4) for _ in range(4)])
+        lam, mu = WeightVector(np.array(lams), params), WeightVector(np.array(mus), params)
+        one = [(WeightVector(lams[d], params), WeightVector(mus[d], params)) for d in range(4)]
+        cases = [(det_residual(z, lam), [det_residual(z[d], one[d][0]) for d in range(4)]),
+                 (det_residual(0.2, lam), [det_residual(0.2, one[d][0]) for d in range(4)])]
+        for k, k2 in {(0, n - 1), (n - 1, 0)}:
+            cases.append((cross_sum_residual(z, u, lam, mu, k, k2),
+                          [cross_sum_residual(z[d], u[d], *one[d], k, k2) for d in range(4)]))
+            cases.append((cross_sum_residual(z, 0.3, lam, mu, k, k2),
+                          [cross_sum_residual(z[d], 0.3, *one[d], k, k2) for d in range(4)]))
+        for got, want in cases:
+            assert isinstance(want[0], float) and got.shape == (4,)
+            assert np.abs(got - want).max() <= 1e-13 and got.max() < 1e-10
+
 
 class TestDetFormula:
     def test_fixture_residual(self, fixture_lam):

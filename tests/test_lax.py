@@ -401,6 +401,25 @@ class TestGeneratingFunction:
             gm = generating_function(lam, WeightVector(mu.lam - dv, params), c, u)
             assert abs(cmath.exp(-(gp - gm) / (2 * h)) - tt[k]) < 1e-5 * abs(tt[k])
 
+    @pytest.mark.parametrize("case", ["readme_n3", "n4_skew_tau"])
+    @pytest.mark.parametrize("draws", [2, 3])
+    def test_stack_gives_one_value_per_draw(self, case, draws):
+        tau, lam, mu, c, u = GRADIENT_CASES[case]
+        n = len(lam)
+        params = ModelParams(n, 0.23, TorusParams(tau))
+        rng = np.random.default_rng(draws)
+        jitter = rng.uniform(-1, 1, (draws, n)) + 1j * rng.uniform(-1, 1, (draws, n))
+        lams = np.array(lam) + 0.02 * jitter
+        cs = c + 0.01 * np.arange(draws)
+        mu1 = WeightVector(np.array(mu), params)
+        for mus in (mu1, WeightVector(np.broadcast_to(mu1.lam, (draws, n)) + 0.01j, params)):
+            got = generating_function(WeightVector(lams, params), mus, cs, u)
+            assert got.shape == (draws,)
+            for d in range(draws):
+                mu_d = mus if mus.lam.ndim == 1 else WeightVector(mus.lam[d], params)
+                want = generating_function(WeightVector(lams[d], params), mu_d, cs[d], u)
+                assert abs(got[d] - want) <= 1e-12 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("tau", [1j, 0.5j, 0.3 + 1.2j, -0.4 + 0.8j])
     def test_antiderivative_matches_mpmath_quad(self, tau):
         # S(b) - S(a) against the quadrature of a branch of log theta that is
