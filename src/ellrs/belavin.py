@@ -22,7 +22,11 @@ from .elliptic import ModelParams, theta_band
 
 @dataclass(frozen=True, eq=False)
 class RTensor:
-    """R(z) as an (n,n,n,n) array: entries[i, j, i2, j2] = R(z)^{ij}_{i2 j2}."""
+    """R(z) as an (n,n,n,n) array: entries[i, j, i2, j2] = R(z)^{ij}_{i2 j2}.
+
+    The operator that intertwines the vectors c_k(z, lam) = phi(z)[lam; :, k] is the
+    transpose entries.reshape(n*n, n*n).T, which maps (i, j) to (i2, j2); _ybe_sides reads
+    the untransposed layout [out1, out2, in1, in2], and the YBE holds in both readings."""
 
     entries: np.ndarray
     z: complex

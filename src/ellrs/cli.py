@@ -121,8 +121,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(name, "missing required field")
         return default
 
+    # integer fields test type(), not isinstance(): JSON true is a bool, which is an int
     n = fetch("n", required=True)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError("n", f"expected a positive integer, got {n!r}")
     tau = _as_complex(fetch("tau", required=True), "tau")
     if not tau.imag > 0:
@@ -149,10 +150,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     c0 = _as_complex(merged["c0"], "c0") if "c0" in merged else c_schedule[0]
 
     steps = fetch("steps", 0)
-    if not isinstance(steps, int) or steps < 0:
+    if type(steps) is not int or steps < 0:
         raise ConfigError("steps", f"expected a nonnegative integer, got {steps!r}")
     seed = fetch("seed", 42)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("seed", f"expected an integer, got {seed!r}")
     tol = fetch("tol")
     if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):

@@ -81,7 +81,7 @@ class ModelParams:
     torus: TorusParams
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):  # type(), since True is an int too
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         eta = complex(self.eta)
         object.__setattr__(self, "eta", eta)

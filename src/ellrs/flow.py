@@ -12,16 +12,16 @@ components are matched across steps by nearest assignment modulo the lattice.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ModelParams, lattice_distance, lattice_guard, lattice_reduce, theta_table
+from .elliptic import (ModelParams, _scalar, lattice_distance, lattice_guard, lattice_reduce,
+                       theta_table)
 from .errors import DegenerateSolution, DegenerateWeights, EllrsError, NoConvergence
 from .intertwiners import WeightVector
-from .lax import PhaseConfig, backlund_t, backlund_ttilde
+from .lax import PhaseConfig, _t, backlund_t, backlund_ttilde
 
 # Newton steps longer than this (per component) are rescaled; keeps trial
 # points inside a couple of lattice cells where theta stays representable
@@ -43,8 +43,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name in ("max_iter", "multistart"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +141,11 @@ def nearest_assignment(a, b, tau: complex) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 def _flow_table(mu: np.ndarray, lam: np.ndarray, c: complex, params: ModelParams):
-    """(prod, theta, theta') of the step equation at mu: the (theta, theta')
-    table at lam_k - mu_s + delta, delta = 0, eta/n, indexed [delta, k, s], and
-    prod_k = e^c * prod_s theta(lam_k - mu_s + eta/n) / theta(lam_k - mu_s)."""
+    """(prod, theta, theta') of the step equation at mu: the (theta, theta') table at
+    lam_k - mu_s + delta, delta = 0, eta/n, indexed [delta, k, s], and prod = backlund_t at mu."""
     th, dth = theta_table(lam, mu, (0, params.eta / params.n), params.torus)
     with np.errstate(**_RAISE_ALL):
-        prod = cmath.exp(c) * np.prod(th[1] / th[0], axis=1)
+        prod = _t(th, c)
     return prod, th, dth
 
 
@@ -184,7 +184,7 @@ def solve_next(
     base_guess = guess.lam if guess is not None else lam.lam - params.eta / n
     lam_arr = lam.lam
 
-    failure, best, attempts = None, math.inf, max(1, cfg.multistart)
+    failure, best, attempts = None, math.inf, cfg.multistart
     for attempt in range(attempts):
         mu = np.array(base_guess, dtype=complex)
         if attempt > 0:
@@ -297,8 +297,7 @@ def discrete_rs_residual(
     """
     t = backlund_t(lam_cur, lam_next, c_cur)
     t_tilde = backlund_ttilde(lam_prev, lam_cur, c_prev)
-    res = np.max(np.abs(t - t_tilde) / (np.abs(t) + np.abs(t_tilde)), axis=-1)
-    return res if res.ndim else float(res)
+    return _scalar(np.max(np.abs(t - t_tilde) / (np.abs(t) + np.abs(t_tilde)), axis=-1))
 
 
 def trajectory_residuals(traj: Trajectory) -> list[float]:

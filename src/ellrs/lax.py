@@ -27,8 +27,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,51 +75,34 @@ class PhaseConfig:
 
 @dataclass(frozen=True, eq=False)
 class BacklundStep:
-    """One Backlund transformation (lambda,t) -> (mu,t~), built from the free
-    data (lambda, mu, c, u): t, t~ and C by their defining formulas, and the
-    zero shift v = u + sum(lambda - mu)."""
+    """One Backlund transformation (lambda,t) -> (mu,t~), built by make_backlund_step:
+    t, t~, C, the zero shift v = u + sum(lambda - mu) and the residual factors _tables."""
 
-    lam: InitVar[WeightVector]
+    source: PhaseConfig
     mu: WeightVector
     c: complex
     u: complex
-    source: PhaseConfig = field(init=False)
-    t_tilde: np.ndarray = field(init=False)
-    C: np.ndarray = field(init=False)
-    v: complex = field(init=False)
-    # the coupling and mu-mu tables of the three formulas, which _tables reuses
-    _theta: tuple = field(init=False, repr=False)
-
-    def __post_init__(self, lam: WeightVector):
-        mu = self.mu
-        c, u = (_scalar(np.asarray(x, dtype=complex)) for x in (self.c, self.u))
-        # the two theta tables that the three formulas share
-        th = _coupling_table(lam, mu, "backlund_t")
-        source = PhaseConfig(lam, backlund_t(lam, mu, c, th))
-        mm = _mu_table(mu, "backlund_ttilde")
-        derived = dict(c=c, u=u, source=source, t_tilde=backlund_ttilde(lam, mu, c, th, mm),
-                       C=backlund_C(lam, mu, th, mm), v=u + lam.total - mu.total, _theta=(th, mm))
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        """The z-independent factors of the residuals, evaluated once per step: psi_k =
-        s_mu(lambda_k + eta/n) (eigenvector of L(u), kernel of M(u)) and the frames of L, L~, M.
-
-        psi and the numerators of the M and L~ frames are the +eta/n slices of the step's
-        coupling and mu-mu tables; the L and M frames share theta(lambda_l - lambda_k)."""
-        lam, mu = self.source.lam, self.mu
-        th, mm = self._theta
-        own = _own_table(lam)
-        mu_den = theta_table(mu.lam, mu.lam, (0,), mu.params.torus)[0][0]
-        return (np.prod(th[1], axis=-1), _gauge_frame(own[1], own[0], self.source.t),
-                _gauge_frame(mm[1], mu_den, self.t_tilde), _gauge_frame(th[1], own[0], self.C))
+    t_tilde: np.ndarray
+    C: np.ndarray
+    v: complex
+    _tables: tuple = field(repr=False)
 
 
 def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> BacklundStep:
-    """The BacklundStep of the free data (lambda, mu, c, u)."""
-    return BacklundStep(lam, mu, c, u)
+    """The BacklundStep of the free data (lambda, mu, c, u), from four theta tables evaluated
+    once each: lambda-mu (coupling), mu-mu, lambda-lambda and theta(mu_k - mu_m).  Its _tables
+    are the z-independent factors of the residuals: psi_k = s_mu(lambda_k + eta/n), the eigenvector
+    of L(u) and kernel of M(u) read off the coupling table, and the frames of L, L~ and M."""
+    c, u = (_scalar(np.asarray(x, dtype=complex)) for x in (c, u))
+    th = _coupling_table(lam, mu, "backlund_t")
+    source = PhaseConfig(lam, _t(th, c))
+    mm = _mu_table(mu, "backlund_ttilde")
+    t_tilde, C = _ttilde(th, mm, c), _C(th, mm[0])
+    own = _own_table(lam)
+    mu_den = theta_table(mu.lam, mu.lam, (0,), mu.params.torus)[0][0]
+    tables = (np.prod(th[1], axis=-1), _gauge_frame(own[1], own[0], source.t),
+              _gauge_frame(mm[1], mu_den, t_tilde), _gauge_frame(th[1], own[0], C))
+    return BacklundStep(source, mu, c, u, t_tilde, C, u + lam.total - mu.total, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +127,38 @@ def _mu_table(mu: WeightVector, what: str) -> np.ndarray:
     return theta_table(mu.lam, mu.lam, (-h, h), params.torus)[0]
 
 
-# each formula takes the tables it reads (th, mm) from a caller that has them
-
-def backlund_t(lam: WeightVector, mu: WeightVector, c: complex, th=None) -> np.ndarray:
-    """t_k = e^c * prod_s theta(lambda_k - mu_s + eta/n) / theta(lambda_k - mu_s)."""
-    th = _coupling_table(lam, mu, "backlund_t") if th is None else th
+def _t(th: np.ndarray, c) -> np.ndarray:
+    """backlund_t from the coupling table th."""
     return np.exp(c)[..., None] * np.prod(th[1] / th[0], axis=-1)
 
 
-def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex, th=None,
-                    mm=None) -> np.ndarray:
-    """t~_k = e^c * prod_{m != k} theta(mu_mk - eta/n)/theta(mu_mk + eta/n)
-    * prod_s theta(lambda_s - mu_k + eta/n)/theta(lambda_s - mu_k)."""
-    th = _coupling_table(lam, mu, "backlund_ttilde") if th is None else th
-    mm = _mu_table(mu, "backlund_ttilde") if mm is None else mm
+def _ttilde(th: np.ndarray, mm: np.ndarray, c) -> np.ndarray:
+    """backlund_ttilde from the coupling and mu-mu tables."""
     ratio = _drop_diagonal(mm[0] / mm[1])  # the m = k factor is not part of the product
     return np.exp(c)[..., None] * np.prod(ratio, axis=-2) * np.prod(th[1] / th[0], axis=-2)
 
 
-def backlund_C(lam: WeightVector, mu: WeightVector, th=None, mm=None) -> np.ndarray:
-    """C_k = prod_s theta(mu_sk - eta/n) / theta(lambda_s - mu_k); of mm it reads mm[0]."""
-    th = _coupling_table(lam, mu, "backlund_C") if th is None else th
-    if mm is None:
-        mm = theta_table(mu.lam, mu.lam, (-lam.params.eta / lam.n,), lam.params.torus)[0]
-    return np.prod(mm[0], axis=-2) / np.prod(th[0], axis=-2)
+def _C(th: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """backlund_C from the coupling table and below [..., s, k] = theta(mu_sk - eta/n)."""
+    return np.prod(below, axis=-2) / np.prod(th[0], axis=-2)
+
+
+def backlund_t(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
+    """t_k = e^c * prod_s theta(lambda_k - mu_s + eta/n) / theta(lambda_k - mu_s)."""
+    return _t(_coupling_table(lam, mu, "backlund_t"), c)
+
+
+def backlund_ttilde(lam: WeightVector, mu: WeightVector, c: complex) -> np.ndarray:
+    """t~_k = e^c * prod_{m != k} theta(mu_mk - eta/n)/theta(mu_mk + eta/n)
+    * prod_s theta(lambda_s - mu_k + eta/n)/theta(lambda_s - mu_k)."""
+    th = _coupling_table(lam, mu, "backlund_ttilde")
+    return _ttilde(th, _mu_table(mu, "backlund_ttilde"), c)
+
+
+def backlund_C(lam: WeightVector, mu: WeightVector) -> np.ndarray:
+    """C_k = prod_s theta(mu_sk - eta/n) / theta(lambda_s - mu_k)."""
+    th = _coupling_table(lam, mu, "backlund_C")
+    return _C(th, theta_table(mu.lam, mu.lam, (-mu.params.eta / mu.n,), mu.params.torus)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +221,7 @@ def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.
     with v the zero shift u + sum(lambda - mu) of the step (BacklundStep.v).
     """
     th = _coupling_table(lam, mu, "m_matrix")
-    frame = _gauge_frame(th[1], _own_table(lam)[0], backlund_C(lam, mu, th))
+    frame = _gauge_frame(th[1], _own_table(lam)[0], backlund_C(lam, mu))
     return _gauge_matrix(z, v, lam, mu.lam, frame, "m_matrix")
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ellrs.cli as cli
 from ellrs import (ModelParams, NonconvergentSeries, TorusParams, WeightVector,
@@ -55,6 +56,15 @@ class TestConfigValidation:
         code = main(["evolve", "--config", cfg])
         assert code == 2
         assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n", "steps", "seed"])
+    def test_bool_integer_field_names_field(self, field, tmp_path, capsys):
+        # JSON true is a Python bool, which is also an int; it must not read as 1
+        cfg = write_config(tmp_path, **{field: True})
+        code = main(["evolve" if field == "steps" else "verify", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_c0_is_optional(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -156,6 +166,19 @@ class TestEvolve:
                 assert rs < 1e-8
             else:
                 assert math.isnan(rs)
+
+    def test_c_schedule(self, tmp_path):
+        # c follows the schedule, then holds its last value; the factor e^{c(a) - c(a-1)}
+        # of the equation of motion is not 1 across the scheduled slices
+        schedule = [[0.1, 0.0], [0.12, 0.01], [0.08, -0.02]]
+        out = tmp_path / "traj.csv"
+        cfg = write_config(tmp_path, c_schedule=schedule, steps=6)
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        slices = load_trajectory_csv(str(out))
+        assert [s[0] for s in slices] == list(range(7))
+        want = [complex(*schedule[min(a, 2)]) for a in range(7)]
+        assert [s[3] for s in slices] == want
+        assert all(rs < 1e-8 for _, _, _, _, rs in slices[1:-1])
 
     def test_zero_steps(self, tmp_path):
         out = tmp_path / "traj.csv"

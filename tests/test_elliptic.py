@@ -398,3 +398,8 @@ class TestDomainTypes:
     def test_model_params_rejects_bad_n(self, torus_i):
         with pytest.raises(ValueError):
             ModelParams(0, 0.23, torus_i)
+
+    def test_model_params_rejects_bool_n(self, torus_i):
+        # bool is a subclass of int, so True would otherwise read as n = 1
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            ModelParams(True, 0.23, torus_i)

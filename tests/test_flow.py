@@ -89,6 +89,11 @@ class TestSolveNext:
         _, dist_star = nearest_assignment(mu.lam, np.array([mu_star]), params.tau)
         assert dist_star < 1e-8
 
+    @pytest.mark.parametrize("multistart", [0, -2])
+    def test_multistart_below_one_refused(self, multistart):
+        with pytest.raises(ValueError, match="multistart must be at least 1"):
+            SolverConfig(multistart=multistart)
+
     def test_zero_t_rejected(self, fixture_lam):
         with pytest.raises(ValueError):
             solve_next(fixture_lam, np.array([0.0, 1.0, 1.0]), 0.1)

@@ -10,7 +10,8 @@ import ellrs.elliptic as elliptic
 import ellrs.identities as identities
 import ellrs.intertwiners as intertwiners
 from ellrs import (ModelParams, NearSingular, PhaseConfig, SuiteConfig, TorusParams, WeightVector,
-                   lax_gauge, m_matrix, make_backlund_step, phi_matrix, run_all, theta_odd)
+                   eigenvector_residual, lax_gauge, m_matrix, make_backlund_step, phi_matrix,
+                   run_all, theta_odd)
 from ellrs.identities import (
     _draw_backlund,
     _lemma_weights,
@@ -306,12 +307,15 @@ class TestKernelCalls:
         assert len(few) == len(many) <= 30
 
     def test_backlund_tables_built_once(self, params3, fixture_lam, fixture_mu, monkeypatch):
-        # a step evaluates the lambda-mu and the mu-mu table once each and shares them
-        # among t, t~, C and the residual frames; the Backlund sweep makes 14 calls at any
-        # draw count
-        step = self.count_calls(monkeypatch,
-                                lambda: make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2))
-        assert len(step) == 2
+        # a step evaluates its lambda-mu, mu-mu, lambda-lambda and theta(mu_k - mu_m) tables
+        # once each, when it is built, and shares them among t, t~, C and the residual frames;
+        # a residual adds only its z-dependent calls, and the Backlund sweep makes 14 calls at
+        # any draw count
+        build = self.count_calls(monkeypatch,
+                                 lambda: make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2))
+        assert len(build) == 4
+        step = make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2)
+        assert len(self.count_calls(monkeypatch, lambda: eigenvector_residual(step))) == 2
         assert len(self.count_calls(monkeypatch,
                                     lambda: check_backlund_residuals(25, 42, params3))) == 14
 

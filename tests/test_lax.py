@@ -188,11 +188,11 @@ class TestBacklundCoefficients:
         import ellrs.lax as lax
 
         calls = []
-        for name in ("backlund_t", "backlund_ttilde", "backlund_C"):
+        for name in ("_t", "_ttilde", "_C"):
             formula = getattr(lax, name)
             monkeypatch.setattr(lax, name, lambda *a, f=formula, k=name: calls.append(k) or f(*a))
         step = make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.17 + 0.05j)
-        assert sorted(calls) == ["backlund_C", "backlund_t", "backlund_ttilde"]
+        assert sorted(calls) == ["_C", "_t", "_ttilde"]
         assert np.array_equal(step.source.t, backlund_t(fixture_lam, fixture_mu, 0.1))
 
     def test_array_records_compare_by_identity(self, params3, fixture_lam, fixture_mu):
