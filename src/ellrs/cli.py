@@ -86,16 +86,24 @@ class RunConfig:
             raise ConfigError("eta", str(exc))
 
 
+def _is_finite_number(value) -> bool:
+    """A finite JSON number; type(), not isinstance(): JSON true is a bool, which is an int."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _as_complex(value, fieldname: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_finite_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(p, (int, float)) for p in value)
+        and all(_is_finite_number(p) for p in value)
     ):
         return complex(value[0], value[1])
-    raise ConfigError(fieldname, f"expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(fieldname, f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _as_complex_list(value, fieldname: str, n: int) -> np.ndarray:
@@ -146,7 +154,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if isinstance(schedule_raw, list) and schedule_raw and isinstance(schedule_raw[0], list):
         c_schedule = [_as_complex(v, f"c_schedule[{i}]") for i, v in enumerate(schedule_raw)]
     else:
-        c_schedule = [_as_complex(schedule_raw, "c_schedule")]
+        c_schedule = [_as_complex(schedule_raw, "c_schedule" if "c_schedule" in merged else "c0")]
     c0 = _as_complex(merged["c0"], "c0") if "c0" in merged else c_schedule[0]
 
     steps = fetch("steps", 0)
@@ -156,8 +164,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if type(seed) is not int:
         raise ConfigError("seed", f"expected an integer, got {seed!r}")
     tol = fetch("tol")
-    if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
-        raise ConfigError("tol", f"expected a positive number, got {tol!r}")
+    if tol is not None and not (_is_finite_number(tol) and tol > 0):
+        raise ConfigError("tol", f"expected a finite positive number, got {tol!r}")
     fmt = fetch("format", "csv")
     if fmt not in ("json", "csv"):
         raise ConfigError("format", f"expected 'json' or 'csv', got {fmt!r}")

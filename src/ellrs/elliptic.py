@@ -11,12 +11,14 @@ reduced into the fundamental cell through the quasi-periodicity factors
         exp(2*pi*i*a*p - pi*i*tau*q^2 - 2*pi*i*q*(z+b)) * theta[a,b](z)
 
 (p, q integers), after which a short centered series gives close to machine
-precision.  All functions are pure; nothing here holds mutable state.
+precision.  All functions are pure; the one cache, of the window
+coefficients per tau, holds read-only arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +37,21 @@ _EXP_LIMIT = 700.0
 # arguments closer than this to a pole lattice are refused by the kernels
 # that would diverge there
 _LATTICE_TOL = 1e-10
+# arg multipliers of the two window bases: V = q/W (j < 0) and U = W*q (j >= 0)
+_SIDES = np.array([-1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+
+def _checked_tau(tau) -> complex:
+    """complex(tau), or ValueError unless tau is finite with Im(tau) > 0."""
+    tau = complex(tau)
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau must be finite with Im(tau) > 0, got tau={tau}")
+    return tau
+
 
 @dataclass(frozen=True)
 class TorusParams:
@@ -48,10 +60,7 @@ class TorusParams:
     tau: complex
 
     def __post_init__(self):
-        tau = complex(self.tau)
-        if not tau.imag > 0:
-            raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tau", _checked_tau(self.tau))
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,8 @@ class ModelParams:
         if not (type(self.n) is int and self.n >= 1):  # type(), since True is an int too
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         eta = complex(self.eta)
+        if not cmath.isfinite(eta):
+            raise ValueError(f"eta must be finite, got eta={eta}")
         object.__setattr__(self, "eta", eta)
         lattice_guard([eta, eta / self.n], self.torus.tau, "eta or eta/n", error=ValueError)
 
@@ -151,17 +162,50 @@ def _series_window(im_tau: float) -> int:
     return M
 
 
+@functools.lru_cache(maxsize=64)
+def _window_coefficients(tau: complex, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(side, k, coef) of the window j = -M..M, cached per (tau, M) and read-only.
+
+    With q = exp(i*pi*tau) and k = |j|, term j of the centred series is
+    lead * base**k * q**(k*(k-1)), where base is U = W*q for j >= 0 (side 1) and
+    V = q/W for j < 0 (side 0): after peak centring |U|, |V| <= 1, so no power overflows.
+    coef[:, 0] = q**(k*(k-1)) and coef[:, 1] = j*coef[:, 0] give sum_j term and
+    sum_j j*term as one product with the powers.
+    """
+    j = np.arange(-M, M + 1)
+    k = np.abs(j)
+    side = (j >= 0).astype(np.intp)
+    qk = np.exp((1j * _PI * tau) * (k * (k - 1)))
+    coef = np.stack([qk, j * qk], axis=-1)
+    for arr in (side, k, coef):
+        arr.setflags(write=False)
+    return side, k, coef
+
+
+def _window_sums(arg: np.ndarray, tau: complex, M: int) -> np.ndarray:
+    """[..., 2] sums over j = -M..M of W**j * q**(j*j) * (1, j), W = exp(arg).
+
+    The array of powers, the one [elements x window] temporary, is freed on return.
+    einsum rather than a matmul: BLAS rounds differently at different batch sizes,
+    and an array call must agree with the scalar calls of its elements.
+    """
+    side, k, coef = _window_coefficients(tau, M)
+    powers = np.exp(np.multiply.outer(arg, _SIDES) + 1j * _PI * tau)[..., side]
+    return np.einsum("...k,kc->...c", np.power(powers, k, out=powers), coef)
+
+
 def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     """(theta[a,b], d/dz theta[a,b]) elementwise: the one theta series.
 
-    a broadcasts against z.  Each argument is reduced by lattice_reduce,
-    summed over the centered window of _series_window and mapped back through
-    the quasi-periodicity factor.  Raises NonconvergentSeries when the window
-    exceeds its cap or that factor overflows double precision at any element.
+    a broadcasts against z.  Each argument is reduced by lattice_reduce, summed
+    over the centred window of _series_window and mapped back through the
+    quasi-periodicity factor.  With m = m0 + j around the peak index m0 the
+    window is a sum of powers of W = exp(2*pi*i*(tau*m0 + zb)) (_window_sums),
+    so each element costs three exp() calls and one [elements x window] temporary.
+    Raises NonconvergentSeries when the window exceeds its cap or that factor
+    overflows double precision at any element.
     """
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
+    tau = _checked_tau(tau)
     M = _series_window(tau.imag)
     z = np.asarray(z, dtype=complex)
     z0, p, q = lattice_reduce(z, tau)
@@ -171,14 +215,13 @@ def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     if over.any():
         bad = complex(np.broadcast_to(z, over.shape)[over][0])
         raise NonconvergentSeries(f"|theta| overflows double precision at z={bad} (tau={tau})")
-    m_peak = np.rint(-a - zb.imag / tau.imag)
-    m = m_peak[..., None] + np.arange(-M, M + 1) + np.asarray(a)[..., None]
-    terms = np.exp((1j * _PI * tau) * m * m + (2j * _PI) * m * zb[..., None])
-    value = np.add.reduce(terms, axis=-1)
-    deriv = np.add.reduce((2j * _PI) * m * terms, axis=-1)
-    pref = np.exp(expo)
-    # d/dz of the reduction prefactor contributes the -2*pi*i*q term
-    return pref * value, pref * (deriv - 2j * _PI * q * value)
+    m0 = np.rint(-a - zb.imag / tau.imag) + a
+    arg = (2j * _PI) * (tau * m0 + zb)
+    # the peak term exp(i*pi*tau*m0^2 + 2*pi*i*m0*zb) times the reduction prefactor
+    lead = np.exp(expo + (0.5 * m0) * arg + (1j * _PI) * m0 * zb)
+    sums = _window_sums(arg, tau, M)
+    # d/dz: 2*pi*i*m per term, and -2*pi*i*q from the reduction prefactor
+    return lead * sums[..., 0], (2j * _PI) * lead * ((m0 - q) * sums[..., 0] + sums[..., 1])
 
 
 def _scalar(values: np.ndarray):
@@ -266,9 +309,7 @@ def dedekind_eta(tau: complex) -> complex:
     The product is truncated once |q^m| < 1e-16, i.e. once the remaining
     factors differ from 1 by less than that.
     """
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValueError(f"Im(tau) must be strictly positive, got tau={tau}")
+    tau = _checked_tau(tau)
     q = cmath.exp(2j * _PI * tau)
     prod = 1.0 + 0j
     qm = 1.0 + 0j

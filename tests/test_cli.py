@@ -66,6 +66,17 @@ class TestConfigValidation:
         assert code == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", True), ("tol", math.inf), ("c0", True), ("u", True),
+        ("eta", [math.nan, 0.0]), ("tau", [math.nan, 1.0]),
+    ])
+    def test_bool_or_nonfinite_number_names_field(self, field, value, tmp_path, capsys):
+        # JSON true reads as 1, and Python's json parses NaN and Infinity as floats
+        cfg = write_config(tmp_path, **{field: value})
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
     def test_c0_is_optional(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text(json.dumps({"n": 2, "tau": [0, 1], "eta": [0.23, 0], "seed": 1}))

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellrs import (
     Characteristic,
@@ -27,7 +29,8 @@ from ellrs import (
     theta_table,
     zeta_log,
 )
-from ellrs.elliptic import lattice_guard, lattice_reduce
+from ellrs.elliptic import (_series_window, _theta_pair, _window_coefficients, lattice_guard,
+                            lattice_reduce)
 from conftest import PI, rand_complex, theta_brute, theta_brute_deriv
 
 ODD = Characteristic(Fraction(1, 2), Fraction(1, 2))
@@ -183,6 +186,30 @@ class TestThetaOddPair:
                     assert abs(value[d, k, s] - want) <= 1e-15 * abs(want)
                     assert abs(deriv[d, k, s] - want_d) <= 1e-15 * abs(want_d)
 
+    def test_peak_memory_of_a_batched_call(self, torus_i):
+        # the window lives in one [elements x window] array of powers, 13 per element at tau = i
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-2, 2, 20_000) + 1j * rng.uniform(-2, 2, 20_000)
+        theta_odd_pair(z[:2], torus_i)  # fill the coefficient cache outside the trace
+        tracemalloc.start()
+        try:
+            value, deriv = theta_odd_pair(z, torus_i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (value.nbytes + deriv.nbytes)
+
+    def test_window_coefficients_cached_read_only(self):
+        torus = TorusParams(0.37 + 1.3j)
+        theta_odd_pair(np.array([0.1, 0.2j]), torus)
+        hits = _window_coefficients.cache_info().hits
+        first = _window_coefficients(torus.tau, _series_window(torus.tau.imag))
+        theta_odd_pair(np.array([0.3 - 0.1j]), torus)
+        assert _window_coefficients.cache_info().hits == hits + 2
+        second = _window_coefficients(torus.tau, _series_window(torus.tau.imag))
+        for old, new in zip(first, second):
+            assert old is new and not old.flags.writeable
+
     def test_lattice_distance_elementwise(self):
         rng = np.random.default_rng(8)
         p, q = np.meshgrid(np.arange(-10, 11), np.arange(-10, 11))
@@ -219,6 +246,87 @@ class TestThetaOddPair:
         with pytest.raises(DegenerateWeights, match=r"w=\(2\+1j\) is within 1e-10"):
             lattice_guard([0.3, 2 + 1j, 1 + 2j], 1j, "w", error=DegenerateWeights)
         lattice_guard([0.3, 0.5j], 1j, "w")
+
+
+def _mp_theta_pair(mp, a, b, z, tau):
+    """(theta[a,b], d/dz theta[a,b]) at 40 digits: the direct series over m_peak +- 30."""
+    a, b, z, tau = mp.mpf(a), mp.mpf(b), mp.mpc(z), mp.mpc(tau)
+    peak = int(mp.nint(-a - mp.im(z + b) / mp.im(tau)))
+    value = deriv = mp.mpc(0)
+    for m in range(peak - 30, peak + 31):
+        term = mp.exp(1j * mp.pi * (m + a) ** 2 * tau + 2j * mp.pi * (m + a) * (z + b))
+        value += term
+        deriv += 2j * mp.pi * (m + a) * term
+    return complex(value), complex(deriv)
+
+
+# the odd, (1/2, 0) and (0, 0) characteristics and the band characteristics of n = 3, 6, 8
+_ORACLE_CHARS = [(0.5, 0.5)] + [
+    (float(a), 0.0)
+    for a in sorted({Fraction(0)} | {Fraction(n - 2 * j, 2 * n) for n in (3, 6, 8)
+                                     for j in range(n)})
+]
+
+
+class TestMpmathOracle:
+    """_theta_pair against a 40-digit direct sum that shares none of its code."""
+
+    @pytest.mark.parametrize("tau", [0.5j, 1j, 0.3 + 1.2j, -0.4 + 0.8j, 2j, 0.5 + 3j, 8j])
+    def test_value_and_derivative(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        z = rng.uniform(-2, 2, 5) + 2.5j * tau.imag * rng.uniform(-1, 1, 5)
+        with mpmath.workdps(40):
+            for a, b in _ORACLE_CHARS:
+                value, deriv = _theta_pair(a, b, z, tau)
+                for k in range(z.size):
+                    want, want_d = _mp_theta_pair(mpmath.mp, a, b, z[k], tau)
+                    assert abs(value[k] - want) <= 1e-13 * abs(want)
+                    assert abs(deriv[k] - want_d) <= 1e-13 * abs(want_d)
+
+
+_TAUS = st.builds(complex, st.floats(-2, 2), st.floats(0.5, 4))
+_CELLS = st.floats(-2, 2)
+
+
+class TestThetaProperties:
+    """Oddness and quasi-periodicity of (theta, theta') at generated tau and z.
+
+    z = x + y*tau lies within two cells of the origin, lattice points included, so
+    each residual is scaled by (|theta| + |theta'|)(1 + |z| + |tau|): the size of the
+    rounding error of the argument times the local slope, where theta itself may vanish.
+    """
+
+    @staticmethod
+    def _pairs(tau, x, y):
+        z = x + y * tau
+        value, deriv = theta_odd_pair(np.array([z, -z, z + 1, z + tau]), TorusParams(tau))
+        scale = 1e-12 * (abs(value[0]) + abs(deriv[0])) * (1 + abs(z) + abs(tau))
+        return z, value, deriv, scale
+
+    @settings(derandomize=True, deadline=None)
+    @given(tau=_TAUS, x=_CELLS, y=_CELLS)
+    def test_odd(self, tau, x, y):
+        _, value, deriv, scale = self._pairs(tau, x, y)
+        assert abs(value[1] + value[0]) <= scale
+        assert abs(deriv[1] - deriv[0]) <= scale
+
+    @settings(derandomize=True, deadline=None)
+    @given(tau=_TAUS, x=_CELLS, y=_CELLS)
+    def test_unit_shift(self, tau, x, y):
+        _, value, deriv, scale = self._pairs(tau, x, y)
+        assert abs(value[2] + value[0]) <= scale
+        assert abs(deriv[2] + deriv[0]) <= scale
+
+    @settings(derandomize=True, deadline=None)
+    @given(tau=_TAUS, x=_CELLS, y=_CELLS)
+    def test_tau_shift(self, tau, x, y):
+        # theta(z + tau) = f(z) theta(z), f = -exp(-i pi tau - 2 pi i z), so
+        # theta'(z + tau) = f(z) (theta'(z) - 2 pi i theta(z))
+        z, value, deriv, scale = self._pairs(tau, x, y)
+        f = -cmath.exp(-1j * PI * tau - 2j * PI * z)
+        assert abs(value[3] - f * value[0]) <= abs(f) * scale
+        assert abs(deriv[3] - f * (deriv[0] - 2j * PI * value[0])) <= abs(f) * scale
 
 
 class TestThetaFamilies:
@@ -398,6 +506,19 @@ class TestDomainTypes:
     def test_model_params_rejects_bad_n(self, torus_i):
         with pytest.raises(ValueError):
             ModelParams(0, 0.23, torus_i)
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1), complex(math.inf, 1),
+                                     complex(0, math.inf)])
+    def test_nonfinite_tau_refused(self, tau):
+        # the kernels that take a raw tau too: dedekind_eta's product never ended on NaN
+        for call in (TorusParams, dedekind_eta, lambda t: theta_char(ODD, 0.1, t)):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                call(tau)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.23, math.nan)])
+    def test_model_params_rejects_nonfinite_eta(self, torus_i, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            ModelParams(2, eta, torus_i)
 
     def test_model_params_rejects_bool_n(self, torus_i):
         # bool is a subclass of int, so True would otherwise read as n = 1
