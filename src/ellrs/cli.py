@@ -3,8 +3,8 @@
 Subcommands:
 
     ellrs verify   --config cfg.json [--seed S --tol T --out PATH]
-    ellrs backlund --config cfg.json [--out PATH]
-    ellrs evolve   --config cfg.json [--steps N --seed S --tol T --out PATH]
+    ellrs backlund --config cfg.json [--seed S --tol T --out PATH]
+    ellrs evolve   --config cfg.json [--steps N --tol T --out PATH --format json|csv]
 
 Exit codes: 0 success / all identities passed, 1 at least one identity
 failed, 2 malformed configuration, 3 Newton did not converge (for evolve:
@@ -150,11 +150,15 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if mu0 is not None:
         mu0 = _as_complex_list(mu0, "mu0", n)
 
-    schedule_raw = fetch("c_schedule", fetch("c0", 0.0))
-    if isinstance(schedule_raw, list) and schedule_raw and isinstance(schedule_raw[0], list):
-        c_schedule = [_as_complex(v, f"c_schedule[{i}]") for i, v in enumerate(schedule_raw)]
+    # c(a) = c_schedule[a], holding its last entry; without a schedule, c0 throughout
+    if "c_schedule" in merged:
+        schedule = merged["c_schedule"]
+        if not (isinstance(schedule, (list, tuple)) and schedule):
+            raise ConfigError("c_schedule", "expected a non-empty list of finite numbers or "
+                                            f"[re, im] pairs, got {schedule!r}")
+        c_schedule = [_as_complex(v, f"c_schedule[{i}]") for i, v in enumerate(schedule)]
     else:
-        c_schedule = [_as_complex(schedule_raw, "c_schedule" if "c_schedule" in merged else "c0")]
+        c_schedule = [_as_complex(fetch("c0", 0.0), "c0")]
     c0 = _as_complex(merged["c0"], "c0") if "c0" in merged else c_schedule[0]
 
     steps = fetch("steps", 0)
@@ -379,44 +383,42 @@ def load_trajectory_csv(path: str):
 # entry point
 # ---------------------------------------------------------------------------
 
+# the override flags, each named after the config field it replaces
+_FLAGS = {
+    "steps": dict(type=int, help="override steps"),
+    "seed": dict(type=int, help="override seed"),
+    "tol": dict(type=float, help="override tolerance"),
+    "out": dict(dest="output_path", help="override output path"),
+    "format": dict(choices=("json", "csv"), help="override output format"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellrs",
         description="Elliptic Ruijsenaars-Schneider toolkit: verify | backlund | evolve",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run the randomized identity suite"),
-        ("backlund", "perform one Backlund step and report residuals"),
-        ("evolve", "iterate the discrete-time flow and export the trajectory"),
+    # each subcommand takes only the flags whose fields it reads
+    for name, help_text, flags in (
+        ("verify", "run the randomized identity suite", ("seed", "tol", "out")),
+        ("backlund", "perform one Backlund step and report residuals", ("seed", "tol", "out")),
+        ("evolve", "iterate the discrete-time flow and export the trajectory",
+         ("steps", "tol", "out", "format")),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config document")
-        p.add_argument("--steps", type=int, default=None, help="override steps")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--tol", type=float, default=None, help="override tolerance")
-        p.add_argument("--out", default=None, help="override output path")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="override output format")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "steps": args.steps,
-        "seed": args.seed,
-        "tol": args.tol,
-        "output_path": args.out,
-        "format": args.format,
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    command, path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = _load_config_file(args.config, overrides)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "backlund":
-            return cmd_backlund(cfg)
-        return cmd_evolve(cfg)
+        run = {"verify": cmd_verify, "backlund": cmd_backlund, "evolve": cmd_evolve}[command]
+        return run(_load_config_file(path, overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -202,12 +202,15 @@ def _theta_pair(a, b: float, z, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     quasi-periodicity factor.  With m = m0 + j around the peak index m0 the
     window is a sum of powers of W = exp(2*pi*i*(tau*m0 + zb)) (_window_sums),
     so each element costs three exp() calls and one [elements x window] temporary.
-    Raises NonconvergentSeries when the window exceeds its cap or that factor
-    overflows double precision at any element.
+    Raises NonconvergentSeries when the window exceeds its cap, or when an element
+    of z is not finite or its quasi-periodicity factor overflows double precision.
     """
     tau = _checked_tau(tau)
     M = _series_window(tau.imag)
     z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise NonconvergentSeries(f"theta is undefined at non-finite z={complex(z[~finite][0])}")
     z0, p, q = lattice_reduce(z, tau)
     zb = z0 + b
     expo = 2j * _PI * a * p - 1j * _PI * tau * q * q - 2j * _PI * q * zb

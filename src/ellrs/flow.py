@@ -140,27 +140,21 @@ def nearest_assignment(a, b, tau: complex) -> tuple[np.ndarray, float]:
 # Newton solve for the next positions
 # ---------------------------------------------------------------------------
 
-def _flow_table(mu: np.ndarray, lam: np.ndarray, c: complex, params: ModelParams):
-    """(prod, theta, theta') of the step equation at mu: the (theta, theta') table at
-    lam_k - mu_s + delta, delta = 0, eta/n, indexed [delta, k, s], and prod = backlund_t at mu."""
-    th, dth = theta_table(lam, mu, (0, params.eta / params.n), params.torus)
+def _step_equation(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, c: complex,
+                   params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Residual r_k = backlund_t(lam, mu, c)_k - t_k of the step equation at mu, and its Jacobian
+
+    d r_k / d mu_s = prod_k * (zeta(lam_k - mu_s) - zeta(lam_k - mu_s + eta/n)),
+
+    zeta = theta'/theta with its poles on the lattice, from one theta table at
+    lam_k - mu_s + delta, delta = 0, eta/n.
+    """
+    h = params.eta / params.n
+    d = lam[:, None] - mu[None, :]
+    lattice_guard(np.stack((d, d + h)), params.tau, "_step_equation: lambda_k - mu_s (+ eta/n)")
+    th, dth = theta_table(lam, mu, (0, h), params.torus)
     with np.errstate(**_RAISE_ALL):
         prod = _t(th, c)
-    return prod, th, dth
-
-
-def _flow_jacobian(mu: np.ndarray, lam: np.ndarray, t: np.ndarray, params: ModelParams,
-                   table) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian of the step equation at mu, from its _flow_table.
-
-    d r_k / d mu_s = prod_k * (zeta(lam_k - mu_s) - zeta(lam_k - mu_s + eta/n))
-    with zeta = theta'/theta, which has its poles on the lattice.
-    """
-    prod, th, dth = table
-    d = lam[:, None] - mu[None, :]
-    lattice_guard(np.stack((d, d + params.eta / params.n)), params.tau,
-                  "_flow_jacobian: lambda_k - mu_s (+ eta/n)")
-    with np.errstate(**_RAISE_ALL):
         zeta = dth / th
     return prod - t, prod[:, None] * (zeta[0] - zeta[1])
 
@@ -182,18 +176,17 @@ def solve_next(
     n = params.n
     t = PhaseConfig(lam, t).t
     base_guess = guess.lam if guess is not None else lam.lam - params.eta / n
-    lam_arr = lam.lam
 
-    failure, best, attempts = None, math.inf, cfg.multistart
-    for attempt in range(attempts):
+    degenerate, best = None, math.inf  # the last attempt's DegenerateWeights, if it made one
+    for attempt in range(cfg.multistart):
         mu = np.array(base_guess, dtype=complex)
         if attempt > 0:
             rng = np.random.default_rng([attempt, 0xB1])
             mu = mu + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mu, reached = _newton(mu, lam_arr, t, c, params, cfg)
+        mu, reached = _newton(mu, lam.lam, t, c, params, cfg)
         best = min(best, reached)
         if mu is None:
-            failure = "Newton iteration stalled"
+            degenerate = None
             continue
         # mu is defined only as an unordered set; order it along the guess
         perm, _ = nearest_assignment(base_guess, mu, params.tau)
@@ -201,28 +194,27 @@ def solve_next(
             return WeightVector(mu[perm], params)
         except DegenerateWeights as exc:
             # converged onto a degenerate root; retry from a perturbed start
-            failure = str(exc)
-            continue
-    if failure == "Newton iteration stalled":
-        raise NoConvergence(f"solve_next failed from {attempts} starts of at most "
+            degenerate = exc
+    if degenerate is None:
+        raise NoConvergence(f"solve_next failed from {cfg.multistart} starts of at most "
                             f"{cfg.max_iter} iterations; best relative residual {best:.3g}",
-                            best_residual=best, attempts=attempts)
-    raise DegenerateSolution(f"solve_next converged onto degenerate weights: {failure}")
+                            best_residual=best, attempts=cfg.multistart)
+    raise DegenerateSolution(f"solve_next converged onto degenerate weights: {degenerate}")
 
 
 def _newton(mu, lam_arr, t, c, params, cfg):
     """One damped Newton attempt from mu: (the root, or None if the attempt
     fails, and the smallest relative residual max_k |r_k|/|t_k| it reached)."""
     scale, best = np.abs(t), math.inf
-    table = None  # _flow_table at mu: after the first iteration, the accepted trial's
+    try:
+        res, jac = _step_equation(mu, lam_arr, t, c, params)
+    except _ATTEMPT_ERRORS:
+        return None, best
     for _ in range(cfg.max_iter):
+        best = min(best, float(np.max(np.abs(res) / scale)))
+        if best < cfg.tol:
+            return mu, best
         try:
-            if table is None:
-                table = _flow_table(mu, lam_arr, c, params)
-            res, jac = _flow_jacobian(mu, lam_arr, t, params, table)
-            best = min(best, float(np.max(np.abs(res) / scale)))
-            if best < cfg.tol:
-                return mu, best
             delta = np.linalg.solve(jac, -res)
         except _ATTEMPT_ERRORS:
             return None, best
@@ -234,17 +226,16 @@ def _newton(mu, lam_arr, t, c, params, cfg):
         base = np.max(np.abs(res))
         for _ in range(24):
             try:
-                table = _flow_table(mu + factor * delta, lam_arr, c, params)
-                trial = np.max(np.abs(table[0] - t))
+                trial = _step_equation(mu + factor * delta, lam_arr, t, c, params)
+                if np.max(np.abs(trial[0])) < base:
+                    break
             except _ATTEMPT_ERRORS:
-                table, trial = None, np.inf
-            if trial < base:
-                break
+                pass
             factor /= 2
         else:
             return None, best  # stagnation: no decrease along the Newton direction
-        mu = mu + factor * delta
-    best = min(best, float(np.max(np.abs(table[0] - t) / scale)))
+        mu, (res, jac) = mu + factor * delta, trial
+    best = min(best, float(np.max(np.abs(res) / scale)))
     return (mu if best < cfg.tol else None), best
 
 

@@ -76,7 +76,8 @@ class PhaseConfig:
 @dataclass(frozen=True, eq=False)
 class BacklundStep:
     """One Backlund transformation (lambda,t) -> (mu,t~), built by make_backlund_step:
-    t, t~, C, the zero shift v = u + sum(lambda - mu) and the residual factors _tables."""
+    t, t~, C, the zero shift v = u + sum(lambda - mu) and the z-independent residual
+    factors _psi and _frames."""
 
     source: PhaseConfig
     mu: WeightVector
@@ -85,14 +86,15 @@ class BacklundStep:
     t_tilde: np.ndarray
     C: np.ndarray
     v: complex
-    _tables: tuple = field(repr=False)
+    _psi: np.ndarray = field(repr=False)
+    _frames: tuple = field(repr=False)
 
 
 def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: complex) -> BacklundStep:
     """The BacklundStep of the free data (lambda, mu, c, u), from four theta tables evaluated
-    once each: lambda-mu (coupling), mu-mu, lambda-lambda and theta(mu_k - mu_m).  Its _tables
-    are the z-independent factors of the residuals: psi_k = s_mu(lambda_k + eta/n), the eigenvector
-    of L(u) and kernel of M(u) read off the coupling table, and the frames of L, L~ and M."""
+    once each: lambda-mu (coupling), mu-mu, lambda-lambda and theta(mu_k - mu_m).  It keeps
+    the z-independent factors of the residuals: _psi_k = s_mu(lambda_k + eta/n), the eigenvector
+    of L(u) and kernel of M(u) read off the coupling table, and _frames, those of L, L~ and M."""
     c, u = (_scalar(np.asarray(x, dtype=complex)) for x in (c, u))
     th = _coupling_table(lam, mu, "backlund_t")
     source = PhaseConfig(lam, _t(th, c))
@@ -100,9 +102,10 @@ def make_backlund_step(lam: WeightVector, mu: WeightVector, c: complex, u: compl
     t_tilde, C = _ttilde(th, mm, c), _C(th, mm[0])
     own = _own_table(lam)
     mu_den = theta_table(mu.lam, mu.lam, (0,), mu.params.torus)[0][0]
-    tables = (np.prod(th[1], axis=-1), _gauge_frame(own[1], own[0], source.t),
-              _gauge_frame(mm[1], mu_den, t_tilde), _gauge_frame(th[1], own[0], C))
-    return BacklundStep(source, mu, c, u, t_tilde, C, u + lam.total - mu.total, tables)
+    frames = (_gauge_frame(own[1], own[0], source.t), _gauge_frame(mm[1], mu_den, t_tilde),
+              _gauge_frame(th[1], own[0], C))
+    return BacklundStep(source, mu, c, u, t_tilde, C, u + lam.total - mu.total,
+                        np.prod(th[1], axis=-1), frames)
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +191,24 @@ def _gauge_frame(num: np.ndarray, den: np.ndarray, weights: np.ndarray) -> np.nd
     return own / np.prod(_drop_diagonal(den), axis=-2)[..., None, :] * weights[..., :, None]
 
 
-def _gauge_factors(z, v, lam: WeightVector, rows: np.ndarray, what: str):
-    """The z-dependent factors of a gauge matrix: [..., k', k] = theta(z - v - eta
-    + lam_k - rows_k' + eta/n), and theta(z - v - eta) with two trailing axes."""
-    params = lam.params
+def _gauge_factors(z, v, params: ModelParams, pairs, what: str):
+    """The z-dependent factors of gauge matrices, with one guard on z - v - eta:
+    theta(z - v - eta) with two trailing axes, and for each (cols, rows) of pairs
+    the table [..., k', k] = theta(z - v - eta + cols_k - rows_k' + eta/n).
+    A gauge matrix is its table / theta(z - v - eta) * its _gauge_frame."""
     big_z = np.asarray(z - v - params.eta)
     lattice_guard(big_z, params.tau, f"{what}: z - v - eta")
-    shifted = theta_table(big_z[..., None] + lam.lam, rows, (params.eta / params.n,),
-                          params.torus)[0][0]
-    return shifted.swapaxes(-1, -2), theta_odd_pair(big_z, params.torus)[0][..., None, None]
-
-
-def _gauge_matrix(z, v, lam: WeightVector, rows: np.ndarray, frame: np.ndarray,
-                  what: str) -> np.ndarray:
-    """[..., k', k] = Phi_{z-v-eta}(lam_k - rows_k' + eta/n)
-    * prod_l theta(lam_l - rows_k' + eta/n) / prod_{l != k} theta(lam_lk) * weights_k',
-    with the l = k factor cancelled against the Phi denominator and the rest in frame."""
-    shifted, theta_z = _gauge_factors(z, v, lam, rows, what)
-    return shifted / theta_z * frame
+    shifted = [theta_table(big_z[..., None] + cols, rows, (params.eta / params.n,),
+                           params.torus)[0][0].swapaxes(-1, -2) for cols, rows in pairs]
+    return theta_odd_pair(big_z, params.torus)[0][..., None, None], shifted
 
 
 def lax_gauge(z: complex, cfg: PhaseConfig, v: complex) -> np.ndarray:
     """Gauge-frame L_{k',k}(z) as a matrix [k', k]; rows carry t_{k'}."""
     lam = cfg.lam
     own = _own_table(lam)
-    return _gauge_matrix(z, v, lam, lam.lam, _gauge_frame(own[1], own[0], cfg.t), "lax_gauge")
+    theta_z, (shifted,) = _gauge_factors(z, v, lam.params, [(lam.lam, lam.lam)], "lax_gauge")
+    return shifted / theta_z * _gauge_frame(own[1], own[0], cfg.t)
 
 
 def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.ndarray:
@@ -221,8 +217,10 @@ def m_matrix(z: complex, lam: WeightVector, mu: WeightVector, v: complex) -> np.
     with v the zero shift u + sum(lambda - mu) of the step (BacklundStep.v).
     """
     th = _coupling_table(lam, mu, "m_matrix")
-    frame = _gauge_frame(th[1], _own_table(lam)[0], backlund_C(lam, mu))
-    return _gauge_matrix(z, v, lam, mu.lam, frame, "m_matrix")
+    below = theta_table(mu.lam, mu.lam, (-mu.params.eta / mu.n,), mu.params.torus)[0][0]
+    frame = _gauge_frame(th[1], _own_table(lam)[0], _C(th, below))
+    theta_z, (shifted,) = _gauge_factors(z, v, lam.params, [(lam.lam, mu.lam)], "m_matrix")
+    return shifted / theta_z * frame
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +236,20 @@ def s_mu(x, mu: WeightVector):
 
 def lax_equation_residual(z, step: BacklundStep) -> float:
     """Max-norm of M(z) L(z) - L~(z) M(z) in the gauge frame, relative."""
-    lam, mu, v = step.source.lam, step.mu, step.v
-    _, frame_l, frame_lt, frame_m = step._tables
-    lg = _gauge_matrix(z, v, lam, lam.lam, frame_l, "lax_gauge")
-    ltg = _gauge_matrix(z, v, mu, mu.lam, frame_lt, "lax_gauge")
-    mg = _gauge_matrix(z, v, lam, mu.lam, frame_m, "m_matrix")
+    lam, mu = step.source.lam.lam, step.mu.lam
+    theta_z, shifted = _gauge_factors(z, step.v, step.mu.params,
+                                      [(lam, lam), (mu, mu), (lam, mu)], "lax_equation_residual")
+    lg, ltg, mg = (table / theta_z * frame for table, frame in zip(shifted, step._frames))
     lhs = mg @ lg
     return np.abs(lhs - ltg @ mg).max(axis=(-2, -1)) / np.abs(lhs).max(axis=(-2, -1))
 
 
 def eigenvector_residual(step: BacklundStep) -> float:
     """Residual of sum_k L(u)_{k',k} s_mu(lam_k + eta/n) = e^c s_mu(lam_k' + eta/n)."""
-    lam = step.source.lam
-    psi, frame_l, _, _ = step._tables
-    lg = _gauge_matrix(step.u, step.v, lam, lam.lam, frame_l, "lax_gauge")
+    lam, psi = step.source.lam, step._psi
+    theta_z, (shifted,) = _gauge_factors(step.u, step.v, lam.params, [(lam.lam, lam.lam)],
+                                         "eigenvector_residual")
+    lg = shifted / theta_z * step._frames[0]
     rhs = np.exp(step.c)[..., None] * psi
     return np.abs((lg @ psi[..., None])[..., 0] - rhs).max(axis=-1) / np.abs(rhs).max(axis=-1)
 
@@ -263,14 +261,14 @@ def kernel_residual(step: BacklundStep) -> float:
     so the n = 1 collapse (where that single factor itself vanishes and the
     1x1 matrix M(u) is identically zero) stays a meaningful check.
     """
-    psi, _, _, frame_m = step._tables
-    factors, theta_z = _gauge_factors(step.u, step.v, step.source.lam, step.mu.lam, "m_matrix")
-    mg = factors / theta_z * frame_m
+    theta_z, (factors,) = _gauge_factors(step.u, step.v, step.mu.params,
+                                         [(step.source.lam.lam, step.mu.lam)], "kernel_residual")
+    mg = factors / theta_z * step._frames[2]
     theta_scale = np.maximum(1.0, np.abs(factors).max(axis=(-2, -1)))
     safe = np.where(np.abs(factors) < 1e-150, 1.0, factors)
-    stripped = np.abs(mg / safe) * np.abs(psi)[..., None, :]
+    stripped = np.abs(mg / safe) * np.abs(step._psi)[..., None, :]
     scale = stripped.sum(axis=-1).max(axis=-1) * theta_scale
-    return np.abs((mg @ psi[..., None])[..., 0]).max(axis=-1) / (scale + 1e-300)
+    return np.abs((mg @ step._psi[..., None])[..., 0]).max(axis=-1) / (scale + 1e-300)
 
 
 def _ks_sides(xs: np.ndarray, ys: np.ndarray, xi, kprime, torus):

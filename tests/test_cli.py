@@ -77,6 +77,37 @@ class TestConfigValidation:
         assert code == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedule, want", [
+        ([0.1, 0.2], [0.1, 0.2]),
+        ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+        ([0.12, [0.1, 0]], [0.12, 0.1]),
+        ([[0.1, 0], 0.12], [0.1, 0.12]),
+    ])
+    def test_c_schedule_entries(self, schedule, want):
+        # each entry is one number or one [re, im] pair, whatever the type of the first
+        assert cli.parse_config(dict(FIXTURE, c_schedule=schedule)).c_schedule == want
+
+    @pytest.mark.parametrize("schedule, field", [
+        (0.1, "c_schedule"), ([], "c_schedule"), ("0.1", "c_schedule"),
+        ([0.1, [0.2]], "c_schedule[1]"), ([0.1, True], "c_schedule[1]"),
+        ([[0.1, math.nan]], "c_schedule[0]"),
+    ])
+    def test_bad_c_schedule_names_entry(self, schedule, field, tmp_path, capsys):
+        cfg = write_config(tmp_path, c_schedule=schedule)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--steps", "3"], ["verify", "--format", "json"],
+        ["backlund", "--steps", "3"], ["backlund", "--format", "json"],
+        ["evolve", "--seed", "3"],
+    ])
+    def test_flag_the_command_ignores_is_refused(self, argv, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--config", cfg, "--out", str(tmp_path / "out")] + argv[1:])
+        assert info.value.code == 2
+
     def test_c0_is_optional(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text(json.dumps({"n": 2, "tau": [0, 1], "eta": [0.23, 0], "seed": 1}))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -514,6 +515,23 @@ class TestDomainTypes:
         for call in (TorusParams, dedekind_eta, lambda t: theta_char(ODD, 0.1, t)):
             with pytest.raises(ValueError, match="tau must be finite"):
                 call(tau)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0.1, math.inf),
+                                   complex(math.inf, 0.1)])
+    @pytest.mark.parametrize("kernel", ["theta_odd", "theta_odd_pair", "theta_table",
+                                        "theta_band"])
+    def test_nonfinite_z_refused(self, torus_i, z, kernel):
+        # refused before the lattice reduction, where it warned and then gave nan
+        calls = {
+            "theta_odd": lambda: theta_odd(z, torus_i),
+            "theta_odd_pair": lambda: theta_odd_pair(np.array([0.1, z, math.nan]), torus_i),
+            "theta_table": lambda: theta_table(np.array([0.2, z]), np.array([0.1]), (0,), torus_i),
+            "theta_band": lambda: theta_band(1, z, ModelParams(3, 0.23, torus_i)),
+        }
+        # the message names the first non-finite argument of the series
+        first = {"theta_odd": z, "theta_odd_pair": z, "theta_table": z - 0.1, "theta_band": z + 0.5}
+        with pytest.raises(NonconvergentSeries, match=re.escape(f"non-finite z={first[kernel]}")):
+            calls[kernel]()
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.23, math.nan)])
     def test_model_params_rejects_nonfinite_eta(self, torus_i, eta):

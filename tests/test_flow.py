@@ -104,29 +104,39 @@ class TestSolveNext:
             solve_next(fixture_lam, t, 0.1, SolverConfig(max_iter=20, multistart=2))
 
     def test_stagnation_ends_attempt(self, fixture_lam, monkeypatch):
-        # every start stalls in its first line search: one table at the start
+        # every start stalls in its first line search: one evaluation at the start
         # plus 24 halvings, then the attempt ends instead of creeping on
         calls = []
-        table = flow._flow_table
-        monkeypatch.setattr(flow, "_flow_table", lambda *a: calls.append(1) or table(*a))
+        equation = flow._step_equation
+        monkeypatch.setattr(flow, "_step_equation", lambda *a: calls.append(1) or equation(*a))
         with pytest.raises(NoConvergence):
             solve_next(fixture_lam, np.array([1e30, 1.0, 1.0]), 0.1)
         assert len(calls) <= SolverConfig().multistart * 25
 
     def test_no_convergence_reports_best_residual(self, fixture_lam, monkeypatch):
-        # the error carries the least relative residual of any iterate, over all starts
-        t, seen = np.array([1e30, 1.0, 1.0]), []
-        jacobian = flow._flow_jacobian
+        # the error carries the least relative residual of any iterate, over all starts;
+        # the iterates are the start of each attempt and every line-search trial whose
+        # residual max_k |r_k| fell below that of the iterate before it
+        t, attempts = np.array([1e30, 1.0, 1.0]), []
+        newton, equation = flow._newton, flow._step_equation
+
+        def new_attempt(*args):
+            attempts.append([])
+            return newton(*args)
 
         def recorded(*args):
-            res, jac = jacobian(*args)
-            seen.append(np.max(np.abs(res) / np.abs(t)))
+            res, jac = equation(*args)
+            size, iterates = np.max(np.abs(res)), attempts[-1]
+            if not iterates or size < iterates[-1][0]:
+                iterates.append((size, np.max(np.abs(res) / np.abs(t))))
             return res, jac
 
-        monkeypatch.setattr(flow, "_flow_jacobian", recorded)
+        monkeypatch.setattr(flow, "_newton", new_attempt)
+        monkeypatch.setattr(flow, "_step_equation", recorded)
         with pytest.raises(NoConvergence) as info:
             solve_next(fixture_lam, t, 0.1, SolverConfig(multistart=3))
-        assert info.value.attempts == 3
+        assert info.value.attempts == 3 and len(attempts) == 3
+        seen = [rel for iterates in attempts for _, rel in iterates]
         assert len(seen) >= 3 and info.value.best_residual == min(seen)
         assert f"best relative residual {min(seen):.3g}" in str(info.value)
 
@@ -156,11 +166,11 @@ class TestStepEquation:
                 trial = mu.lam + 0.02 * np.array([rand_complex(rng) for _ in range(n)])
 
                 def residual(m):
-                    return flow._flow_table(m, lam.lam, c, params)[0] - t
+                    return flow._step_equation(m, lam.lam, t, c, params)[0]
 
-                res, jac = flow._flow_jacobian(trial, lam.lam, t, params,
-                                               flow._flow_table(trial, lam.lam, c, params))
-                assert np.abs(res - residual(trial)).max() == 0
+                res, jac = flow._step_equation(trial, lam.lam, t, c, params)
+                want = backlund_t(lam, WeightVector(trial, params), c) - t
+                assert np.abs(res - want).max() == 0
                 fd = np.empty((n, n), dtype=complex)
                 for s in range(n):
                     dm = np.zeros(n, dtype=complex)
@@ -173,9 +183,8 @@ class TestStepEquation:
         t = backlund_t(fixture_lam, fixture_mu, 0.1)
         mu = fixture_mu.lam.copy()
         mu[1] = fixture_lam.lam[0] + params.eta / params.n + 1j + 1e-12
-        with pytest.raises(PoleAtLatticePoint):
-            flow._flow_jacobian(mu, fixture_lam.lam, t, params,
-                                flow._flow_table(mu, fixture_lam.lam, 0.1, params))
+        with pytest.raises(PoleAtLatticePoint, match="_step_equation"):
+            flow._step_equation(mu, fixture_lam.lam, t, 0.1, params)
 
     def test_zero_theta_stalls_the_attempt(self, monkeypatch, fixture_lam, fixture_mu):
         params = fixture_lam.params
@@ -189,7 +198,7 @@ class TestStepEquation:
 
         monkeypatch.setattr(flow, "theta_table", zero_corner)
         with pytest.raises(FloatingPointError):
-            flow._flow_table(fixture_mu.lam, fixture_lam.lam, 0.1, params)
+            flow._step_equation(fixture_mu.lam, fixture_lam.lam, t, 0.1, params)
         with pytest.raises(NoConvergence):
             solve_next(fixture_lam, t, 0.1, SolverConfig(max_iter=5, multistart=2))
 

@@ -10,8 +10,8 @@ import ellrs.elliptic as elliptic
 import ellrs.identities as identities
 import ellrs.intertwiners as intertwiners
 from ellrs import (ModelParams, NearSingular, PhaseConfig, SuiteConfig, TorusParams, WeightVector,
-                   eigenvector_residual, lax_gauge, m_matrix, make_backlund_step, phi_matrix,
-                   run_all, theta_odd)
+                   eigenvector_residual, kernel_residual, lax_equation_residual, lax_gauge,
+                   m_matrix, make_backlund_step, phi_matrix, run_all, theta_odd)
 from ellrs.identities import (
     _draw_backlund,
     _lemma_weights,
@@ -256,7 +256,7 @@ class TestBatchedSides:
         lam, mu = (WeightVector(w.reshape(6, n), params) for w in (lam, mu))
         step = make_backlund_step(lam, mu, c, u)
         z = np.array([draw_generic(rng, tau, avoid=(v + params.eta,)) for v in step.v])
-        got = dict(t=step.source.t, t_tilde=step.t_tilde, C=step.C, psi=step._tables[0],
+        got = dict(t=step.source.t, t_tilde=step.t_tilde, C=step.C, psi=step._psi,
                    L_u=lax_gauge(u, step.source, step.v), L_z=lax_gauge(z, step.source, step.v),
                    Lt_z=lax_gauge(z, PhaseConfig(mu, step.t_tilde), step.v),
                    M_u=m_matrix(u, lam, mu, step.v), M_z=m_matrix(z, lam, mu, step.v))
@@ -309,15 +309,24 @@ class TestKernelCalls:
     def test_backlund_tables_built_once(self, params3, fixture_lam, fixture_mu, monkeypatch):
         # a step evaluates its lambda-mu, mu-mu, lambda-lambda and theta(mu_k - mu_m) tables
         # once each, when it is built, and shares them among t, t~, C and the residual frames;
-        # a residual adds only its z-dependent calls, and the Backlund sweep makes 14 calls at
-        # any draw count
+        # a residual adds only its z-dependent calls: theta(z - v - eta) once, and one shifted
+        # table per gauge matrix.  The Backlund sweep makes 12 calls at any draw count
         build = self.count_calls(monkeypatch,
                                  lambda: make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2))
         assert len(build) == 4
         step = make_backlund_step(fixture_lam, fixture_mu, 0.1, 0.2)
         assert len(self.count_calls(monkeypatch, lambda: eigenvector_residual(step))) == 2
+        assert len(self.count_calls(monkeypatch, lambda: kernel_residual(step))) == 2
         assert len(self.count_calls(monkeypatch,
-                                    lambda: check_backlund_residuals(25, 42, params3))) == 14
+                                    lambda: lax_equation_residual(0.3 + 0.1j, step))) == 4
+        assert len(self.count_calls(monkeypatch,
+                                    lambda: check_backlund_residuals(25, 42, params3))) == 12
+
+    def test_m_matrix_calls(self, fixture_lam, fixture_mu, monkeypatch):
+        # coupling, lambda-lambda and theta(mu_k - mu_m - eta/n) tables, then the z-dependent two
+        calls = self.count_calls(monkeypatch,
+                                 lambda: m_matrix(0.3 + 0.1j, fixture_lam, fixture_mu, 0.2))
+        assert len(calls) == 5
 
     def test_lattice_distance_calls_of_a_default_run(self, params3, monkeypatch):
         # one distance call per rejection-sampling candidate: 2,128 at n = 3, seed 42

@@ -231,19 +231,26 @@ class TestMandResiduals:
         assert np.abs(mg @ psi).max() < 1e-9 * np.abs(mg).max() * np.abs(psi).max()
 
     @pytest.mark.parametrize("site", ["backlund_t", "backlund_ttilde", "backlund_C",
-                                      "lax_gauge", "m_matrix"])
+                                      "lax_gauge", "m_matrix", "lax_equation_residual",
+                                      "eigenvector_residual", "kernel_residual"])
     def test_lattice_guard(self, site, fixture_step, params3):
         lam, mu, v = fixture_step.source.lam, fixture_step.mu, fixture_step.v
         # mu_0 = lambda_1 + 1 + tau puts lambda_1 - mu_0 on the lattice;
         # z = v + eta puts the gauge matrices' z - v - eta there
         bad_mu = WeightVector(np.concatenate(([lam.lam[1] + 1 + params3.tau], mu.lam[1:])), params3)
         z = v + params3.eta
+        # the residuals at z = u: sum(mu) - sum(lambda) - eta = 0 puts u - v - eta on the lattice
+        on_lattice = WeightVector(mu.lam + (lam.total - mu.total + params3.eta) / 3, params3)
+        at_u = make_backlund_step(lam, on_lattice, 0.1, 0.17 + 0.05j)
         calls = {
             "backlund_t": lambda: backlund_t(lam, bad_mu, 0.1),
             "backlund_ttilde": lambda: backlund_ttilde(lam, bad_mu, 0.1),
             "backlund_C": lambda: backlund_C(lam, bad_mu),
             "lax_gauge": lambda: lax_gauge(z, fixture_step.source, v),
             "m_matrix": lambda: m_matrix(z, lam, mu, v),
+            "lax_equation_residual": lambda: lax_equation_residual(z, fixture_step),
+            "eigenvector_residual": lambda: eigenvector_residual(at_u),
+            "kernel_residual": lambda: kernel_residual(at_u),
         }
         with pytest.raises(PoleAtLatticePoint, match=site):
             calls[site]()
